@@ -60,7 +60,6 @@ from .network import (
     check_feasibility,
     max_link_length,
     resources,
-    signal_velocity,
     timings,
 )
 from .params import (

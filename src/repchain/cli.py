@@ -9,6 +9,7 @@ are valid output and the checks are part of it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,40 +21,17 @@ from .experiments import (
     Study,
     SweepRow,
     SweepSpec,
+    fidelity_row,
     rate_row,
     rows_to_csv,
     run_custom,
     run_study,
 )
-from .fidelity import InternalCheckError, end_to_end_report
-from .montecarlo import (
-    McConfig,
-    McMode,
-    floored_attempts,
-    floored_window_rate,
-    simulate_link,
-    simulate_no_buffer,
-    simulate_nv_chain,
-    simulate_routed,
-    simulate_segment,
-)
-from .network import Config, NetworkDesign, max_link_length, timings
+from .fidelity import InternalCheckError
+from .montecarlo import SCENARIO_MODES, McConfig, McMode, simulate_scenario, window_reference
+from .network import Config, NetworkDesign, max_link_length
 from .params import Era, ParameterProfile, builtin_profile, load_profile
-from .rates import (
-    Scenario,
-    attempt_rate,
-    link_success_prob,
-    no_buffer_cutoff_time,
-    nv_attempt_rate,
-    nv_chain_rate,
-    nv_cutoff_time,
-    nv_link_success_prob,
-    routed_cutoff_time,
-    routed_rate,
-    routed_rate_no_buffer,
-    segment_rate,
-    segment_success_prob,
-)
+from .rates import Scenario, routed_cutoff_time, scenario_rate, window_law
 
 _ERA_TOKENS = tuple(era.value for era in Era)
 
@@ -121,8 +99,14 @@ def _design_from_args(args: argparse.Namespace, profile: ParameterProfile) -> Ne
         big_n=args.big_n,
         xi=args.xi,
         epsilon=args.epsilon,
-        buffered=not getattr(args, "no_buffer", False),
     )
+
+
+def _tau_arg(args: argparse.Namespace) -> float | None:
+    """The --tau-s value; a non-finite one is a validation error."""
+    if args.tau_s is not None and not math.isfinite(args.tau_s):
+        raise ValueError(f"--tau-s {args.tau_s!r} must be finite")
+    return args.tau_s
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -132,81 +116,46 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _report_checks(checks: Sequence[CheckResult]) -> None:
+def _emit_checked(rows: Sequence[SweepRow], checks: Sequence[CheckResult], out: str | None) -> int:
+    """Write the rows, then report failed checks on stderr; the exit code stays 0."""
+    _emit(rows_to_csv(rows), out)
     failed = [c for c in checks if not c.passed]
     for c in failed:
         print(f"check failed: {c.name}: {c.detail}", file=sys.stderr)
     if failed:
         print(f"checks: {len(checks) - len(failed)}/{len(checks)} passed", file=sys.stderr)
+    return 0
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
     era, profile = _resolve_profile(args.profile)
+    tau_s = _tau_arg(args)
     scenario = Scenario(args.scenario)
     if scenario is Scenario.ROUTED and args.no_buffer:
         scenario = Scenario.ROUTED_NO_BUFFER
     design = _design_from_args(args, profile)
     if scenario in (Scenario.SEGMENT, Scenario.NV_CHAIN):
         design = replace(design, big_n=1)
-    if scenario is Scenario.SEGMENT:
-        if args.tau_s is not None:
-            print("note: --tau-s does not apply to the segment scenario", file=sys.stderr)
-        report = segment_rate(profile, design)
-    elif scenario is Scenario.NV_CHAIN:
-        report = nv_chain_rate(profile, design, tau_s=args.tau_s)
-    elif scenario is Scenario.ROUTED:
-        report = routed_rate(profile, design, tau_s=args.tau_s)
-    else:
-        if args.tau_s is not None:
-            print("note: --tau-s does not apply to the buffer-free scenario", file=sys.stderr)
-        report = routed_rate_no_buffer(profile, design)
-    row = rate_row(
-        era, profile, design, report, McOptions(),
-        show_config=scenario is not Scenario.NV_CHAIN,
-        show_big_n=scenario in (Scenario.ROUTED, Scenario.ROUTED_NO_BUFFER),
-    )
-    _emit(rows_to_csv([row]), args.out)
+    if tau_s is not None and scenario in (Scenario.SEGMENT, Scenario.ROUTED_NO_BUFFER):
+        label = "segment" if scenario is Scenario.SEGMENT else "buffer-free"
+        print(f"note: --tau-s does not apply to the {label} scenario", file=sys.stderr)
+    report = scenario_rate(scenario, profile, design, tau_s)
+    _emit(rows_to_csv([rate_row(era, profile, design, report)]), args.out)
     return 0
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
     era, profile = _resolve_profile(args.profile)
     design = _design_from_args(args, profile)
-    if args.tau_s is not None:
-        tau, clamped = args.tau_s, None
-        if tau < 0:
-            raise ValueError(f"--tau-s {tau!r} must be >= 0")
-    else:
-        tau, clamped = routed_cutoff_time(profile, design)
-    report = end_to_end_report(profile, design, tau)
-    row = SweepRow(
-        scenario="fidelity-end-to-end", era=era, config=design.config.value,
-        n=design.n, big_n=design.big_n, ell_km=design.ell_km,
-        total_km=design.big_n * design.n * design.ell_km,
-        tau_s=tau, tau_clamped=clamped,
-        rate_hz=None, fidelity=report.fidelity, qber=report.qber,
-        mc_rate_hz=None, mc_std_error=None, seed=None,
-    )
-    _emit(rows_to_csv([row]), args.out)
+    tau = _tau_arg(args)
+    if tau is not None and tau < 0:
+        raise ValueError(f"--tau-s {tau!r} must be >= 0")
+    tau, clamped = routed_cutoff_time(profile, design) if tau is None else (tau, None)
+    _emit(rows_to_csv([fidelity_row(era, profile, design, tau, clamped)]), args.out)
     return 0
 
 
-def _window_reference(
-    mode: McMode, profile: ParameterProfile, design: NetworkDesign, tau_s: float
-) -> float:
-    """Closed-form rate with the simulator's integer attempt count."""
-    t = timings(design, profile)
-    if mode is McMode.WINDOW_ROUTED:
-        k = floored_attempts(attempt_rate(profile), tau_s - t.t_trans)
-        return floored_window_rate(
-            segment_success_prob(profile, design), k, design.big_n, tau_s)
-    if mode is McMode.WINDOW_NV:
-        k = floored_attempts(nv_attempt_rate(design.ell_km), tau_s / 2.0 - t.t_trans_tilde)
-        return floored_window_rate(
-            nv_link_success_prob(profile, design.ell_km), k, design.n, tau_s)
-    k = floored_attempts(attempt_rate(profile), tau_s / 2.0 - t.t_trans)
-    return floored_window_rate(
-        segment_success_prob(profile, design, include_buffer=False), k, design.big_n, tau_s)
+_MODE_SCENARIOS = {mode: scenario for scenario, mode in SCENARIO_MODES.items()}
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -214,47 +163,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     mode = McMode(args.mode)
     design = _design_from_args(args, profile)
     cfg = McConfig(args.seed, args.trials, mode, args.workers)
-    tau: float | None = None
-    clamped: bool | None = None
-    rate_ref: float | None = None
-    show_config, show_big_n = True, True
-
+    tau_s = _tau_arg(args)
     if mode is McMode.MICRO_LINK:
         design = replace(design, n=1, big_n=1)
-        est = simulate_link(profile, design.ell_km, cfg)
-        show_big_n = False
-    elif mode is McMode.MICRO_SEGMENT:
+    elif mode in (McMode.MICRO_SEGMENT, McMode.WINDOW_NV):
         design = replace(design, big_n=1)
-        est = simulate_segment(profile, design, cfg)
-        show_big_n = False
-    else:
-        if mode is McMode.WINDOW_NV:
-            design = replace(design, big_n=1)
-            show_config = False
-            show_big_n = False
-        if args.tau_s is not None:
-            if args.tau_s <= 0:
-                raise ValueError(f"--tau-s {args.tau_s!r} must be > 0")
-            tau = args.tau_s
-        elif mode is McMode.WINDOW_ROUTED:
-            tau, clamped = routed_cutoff_time(profile, design)
-        elif mode is McMode.WINDOW_NV:
-            tau, clamped = nv_cutoff_time(profile, design)
-        else:
-            tau, clamped = no_buffer_cutoff_time(profile, design)
-        if mode is McMode.WINDOW_NV:
-            est = simulate_nv_chain(profile, design, tau, cfg)
-        elif mode is McMode.WINDOW_ROUTED:
-            est = simulate_routed(profile, design, tau, cfg)
-        else:
-            est = simulate_no_buffer(profile, design, tau, cfg)
-        rate_ref = _window_reference(mode, profile, design, tau)
-
+    tau = clamped = rate_ref = None
+    if mode not in (McMode.MICRO_LINK, McMode.MICRO_SEGMENT):
+        # The window rows carry the closed form with the simulator's floored attempts.
+        if tau_s is not None and tau_s <= 0:
+            raise ValueError(f"--tau-s {tau_s!r} must be > 0")
+        law = window_law(_MODE_SCENARIOS[mode], profile, design)
+        tau, clamped = law.cutoff(design.epsilon) if tau_s is None else (tau_s, None)
+        rate_ref = window_reference(law, tau)
+    est = simulate_scenario(profile, design, tau, cfg)
     row = SweepRow(
         scenario=mode.value, era=era,
-        config=design.config.value if show_config else None,
+        config=None if mode is McMode.WINDOW_NV else design.config.value,
         n=design.n,
-        big_n=design.big_n if show_big_n else None,
+        big_n=design.big_n if mode in (McMode.WINDOW_ROUTED, McMode.WINDOW_NO_BUFFER) else None,
         ell_km=design.ell_km,
         total_km=design.big_n * design.n * design.ell_km,
         tau_s=tau, tau_clamped=clamped,
@@ -270,10 +197,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     labels = ("near", "long") if args.era == "both" else (args.era,)
     profiles = [(label, builtin_profile(label)) for label in labels]
     mc = McOptions(args.with_mc, args.seed, args.trials, args.workers)
-    rows, checks = run_study(study, profiles, mc)
-    _emit(rows_to_csv(rows), args.out)
-    _report_checks(checks)
-    return 0
+    return _emit_checked(*run_study(study, profiles, mc), args.out)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -288,10 +212,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         xi=args.xi, epsilon=args.epsilon,
         mc=McOptions(args.with_mc, args.seed, args.trials, args.workers),
     )
-    rows, checks = run_custom(spec)
-    _emit(rows_to_csv(rows), args.out)
-    _report_checks(checks)
-    return 0
+    return _emit_checked(*run_custom(spec), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

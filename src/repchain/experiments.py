@@ -18,32 +18,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .fidelity import end_to_end_report, qber, router_pair_werner, werner_to_fidelity
-from .montecarlo import (
-    McConfig,
-    McEstimate,
-    McMode,
-    simulate_no_buffer,
-    simulate_nv_chain,
-    simulate_routed,
-    simulate_segment,
-)
-from .network import Config, NetworkDesign, max_link_length, timings
+from .montecarlo import SCENARIO_MODES, McConfig, McEstimate, McMode, simulate_scenario
+from .network import Config, NetworkDesign, max_link_length
 from .params import ParameterProfile
-from .rates import (
-    RateReport,
-    Scenario,
-    attempt_rate,
-    nv_chain_rate,
-    routed_cutoff_time,
-    routed_rate,
-    routed_rate_no_buffer,
-    segment_rate,
-)
+from .rates import RateReport, Scenario, attempt_rate, routed_cutoff_time, scenario_rate, window_law
 
 __all__ = [
     "CSV_HEADER",
@@ -53,6 +36,7 @@ __all__ = [
     "SweepError",
     "SweepRow",
     "SweepSpec",
+    "fidelity_row",
     "rate_row",
     "rows_to_csv",
     "run_config_compare",
@@ -76,6 +60,9 @@ LENGTH_SWEEP_KM = range(10, 101, 10)
 
 # Links per segment at each era's standard operating point.
 OPERATING_N = {"near": 1, "long": 2}
+
+# Upper bound on the points of one custom sweep; the standard studies use at most 10.
+MAX_SWEEP_POINTS = 10_000
 
 
 class SweepError(ValueError):
@@ -134,50 +121,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_ROW_FIELDS = tuple(field.name for field in dataclass_fields(SweepRow))
+
+
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join(_fmt(getattr(row, name)) for name in (
-            "scenario", "era", "config", "n", "big_n", "ell_km", "total_km",
-            "tau_s", "tau_clamped", "rate_hz", "fidelity", "qber",
-            "mc_rate_hz", "mc_std_error", "seed",
-        )))
+        lines.append(",".join(_fmt(getattr(row, name)) for name in _ROW_FIELDS))
     return "\n".join(lines) + "\n"
 
 
 def write_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     Path(path).write_text(rows_to_csv(rows), encoding="utf-8", newline="\n")
-
-
-def _mc_estimate(
-    scenario: Scenario,
-    profile: ParameterProfile,
-    design: NetworkDesign,
-    report: RateReport,
-    mc: McOptions,
-) -> McEstimate:
-    if scenario is Scenario.SEGMENT:
-        est = simulate_segment(
-            profile, design, McConfig(mc.seed, mc.trials, McMode.MICRO_SEGMENT, mc.workers)
-        )
-        omega = attempt_rate(profile)
-        return McEstimate(est.mean * omega, est.std_error * omega, est.trials, est.seed)
-    if scenario is Scenario.NV_CHAIN:
-        return simulate_nv_chain(
-            profile, design, report.tau_s,
-            McConfig(mc.seed, mc.trials, McMode.WINDOW_NV, mc.workers),
-        )
-    if scenario is Scenario.ROUTED:
-        return simulate_routed(
-            profile, design, report.tau_s,
-            McConfig(mc.seed, mc.trials, McMode.WINDOW_ROUTED, mc.workers),
-        )
-    if scenario is Scenario.ROUTED_NO_BUFFER:
-        return simulate_no_buffer(
-            profile, design, report.tau_s,
-            McConfig(mc.seed, mc.trials, McMode.WINDOW_NO_BUFFER, mc.workers),
-        )
-    raise SweepError(f"no simulator for scenario {scenario!r}")
 
 
 def rate_row(
@@ -186,19 +141,26 @@ def rate_row(
     design: NetworkDesign,
     report: RateReport,
     mc: McOptions = McOptions(),
-    show_config: bool = True,
-    show_big_n: bool = True,
 ) -> SweepRow:
-    """One CSV row for a rate report; hidden columns stay empty."""
+    """One CSV row for a rate report; nv-chain hides config, only routed rows show N.
+
+    With MC on, segment probabilities are scaled to rates by the attempt rate.
+    """
+    scenario = report.scenario
     est = None
     if mc.enabled:
-        est = _mc_estimate(report.scenario, profile, design, report, mc)
+        mode = SCENARIO_MODES[scenario]
+        est = simulate_scenario(
+            profile, design, report.tau_s, McConfig(mc.seed, mc.trials, mode, mc.workers))
+        if mode is McMode.MICRO_SEGMENT:
+            omega = attempt_rate(profile)
+            est = McEstimate(est.mean * omega, est.std_error * omega, est.trials, est.seed)
     return SweepRow(
-        scenario=report.scenario.value,
+        scenario=scenario.value,
         era=era,
-        config=design.config.value if show_config else None,
+        config=None if scenario is Scenario.NV_CHAIN else design.config.value,
         n=design.n,
-        big_n=design.big_n if show_big_n else None,
+        big_n=design.big_n if scenario in (Scenario.ROUTED, Scenario.ROUTED_NO_BUFFER) else None,
         ell_km=design.ell_km,
         total_km=design.big_n * design.n * design.ell_km,
         tau_s=report.tau_s,
@@ -212,8 +174,37 @@ def rate_row(
     )
 
 
-def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, passed=passed, detail=detail)
+def fidelity_row(
+    era: str,
+    profile: ParameterProfile,
+    design: NetworkDesign,
+    tau_s: float,
+    tau_clamped: bool | None,
+) -> SweepRow:
+    """One end-to-end fidelity row for pairs stored over tau_s."""
+    report = end_to_end_report(profile, design, tau_s)
+    return SweepRow(
+        scenario="fidelity-end-to-end", era=era, config=design.config.value,
+        n=design.n, big_n=design.big_n, ell_km=design.ell_km,
+        total_km=design.big_n * design.n * design.ell_km,
+        tau_s=tau_s, tau_clamped=tau_clamped,
+        rate_hz=None, fidelity=report.fidelity, qber=report.qber,
+        mc_rate_hz=None, mc_std_error=None, seed=None,
+    )
+
+
+def _add_rate_row(
+    rows: list[SweepRow],
+    era: str,
+    profile: ParameterProfile,
+    design: NetworkDesign,
+    scenario: Scenario,
+    mc: McOptions,
+) -> RateReport:
+    """Append the rate row of one scenario and design; return its report."""
+    report = scenario_rate(scenario, profile, design)
+    rows.append(rate_row(era, profile, design, report, mc))
+    return report
 
 
 def _require_known_eras(profiles: Sequence[tuple[str, ParameterProfile]]) -> None:
@@ -238,39 +229,32 @@ def run_rate_vs_links(
         nv: dict[int, float] = {}
         for n in LINK_SWEEP:
             design = NetworkDesign(Config.A, ell, n, 1)
-            report = segment_rate(profile, design)
-            seg[n] = report.rate_hz
-            rows.append(rate_row(era, profile, design, report, mc, show_big_n=False))
-            nv_report = nv_chain_rate(profile, design)
-            nv[n] = nv_report.rate_hz
-            rows.append(rate_row(
-                era, profile, design, nv_report, mc,
-                show_config=False, show_big_n=False,
-            ))
+            seg[n] = _add_rate_row(rows, era, profile, design, Scenario.SEGMENT, mc).rate_hz
+            nv[n] = _add_rate_row(rows, era, profile, design, Scenario.NV_CHAIN, mc).rate_hz
         if era == "near":
-            checks.append(_check(
+            checks.append(CheckResult(
                 "near-crossover-first-link", seg[1] > nv[1],
                 f"segment {seg[1]:.4g} Hz vs nv-chain {nv[1]:.4g} Hz at n=1",
             ))
             bad = [n for n in LINK_SWEEP if n >= 2 and not seg[n] < nv[n]]
-            checks.append(_check(
+            checks.append(CheckResult(
                 "near-crossover-rest",
                 not bad,
                 f"expected nv-chain ahead for n in [2,8]; segment still ahead at n={bad}",
             ))
-            checks.append(_check(
+            checks.append(CheckResult(
                 "near-single-segment-rate",
                 abs(seg[1] - 30.7) / 30.7 < 0.01,
                 f"rate {seg[1]:.6g} Hz vs expected 30.7 Hz",
             ))
         if era == "long":
             bad_low = [n for n in (1, 2, 3) if not seg[n] > nv[n]]
-            checks.append(_check(
+            checks.append(CheckResult(
                 "long-crossover-low", not bad_low,
                 f"expected segment ahead for n<=3; behind at n={bad_low}",
             ))
             bad_high = [n for n in LINK_SWEEP if n >= 4 and not seg[n] < nv[n]]
-            checks.append(_check(
+            checks.append(CheckResult(
                 "long-crossover-high", not bad_high,
                 f"expected nv-chain ahead for n in [4,8]; behind at n={bad_high}",
             ))
@@ -293,33 +277,27 @@ def run_rate_vs_routers(
         nv: dict[int, float] = {}
         for big_n in ROUTER_SWEEP:
             design = NetworkDesign(Config.A, ell, n_seg, big_n)
-            rep_b = routed_rate(profile, design)
-            buffered[big_n] = rep_b.rate_hz
-            rows.append(rate_row(era, profile, design, rep_b, mc))
-            rep_nb = routed_rate_no_buffer(profile, design)
-            no_buffer[big_n] = rep_nb.rate_hz
-            rows.append(rate_row(era, profile, design, rep_nb, mc))
+            buffered[big_n] = _add_rate_row(
+                rows, era, profile, design, Scenario.ROUTED, mc).rate_hz
+            no_buffer[big_n] = _add_rate_row(
+                rows, era, profile, design, Scenario.ROUTED_NO_BUFFER, mc).rate_hz
             nv_design = NetworkDesign(Config.A, ell, n_seg * big_n, 1)
-            rep_nv = nv_chain_rate(profile, nv_design)
-            nv[big_n] = rep_nv.rate_hz
-            rows.append(rate_row(
-                era, profile, nv_design, rep_nv, mc,
-                show_config=False, show_big_n=False,
-            ))
+            nv[big_n] = _add_rate_row(
+                rows, era, profile, nv_design, Scenario.NV_CHAIN, mc).rate_hz
         if era == "near":
             bad = [N for N in ROUTER_SWEEP if not no_buffer[N] > buffered[N]]
-            checks.append(_check(
+            checks.append(CheckResult(
                 "near-no-buffer-advantage", not bad,
                 f"expected buffer-free ahead for all N; behind at N={bad}",
             ))
         if era == "long":
             bad = [N for N in ROUTER_SWEEP if not buffered[N] > no_buffer[N]]
-            checks.append(_check(
+            checks.append(CheckResult(
                 "long-buffer-advantage", not bad,
                 f"expected buffered ahead for all N; behind at N={bad}",
             ))
         bad_nv = [N for N in ROUTER_SWEEP if not buffered[N] > nv[N]]
-        checks.append(_check(
+        checks.append(CheckResult(
             f"{era}-routed-beats-nv-chain", not bad_nv,
             f"expected routed chain ahead of nv-chain at matched length; behind at N={bad_nv}",
         ))
@@ -342,29 +320,26 @@ def run_config_compare(
         rate_b: dict[int, float] = {}
         for big_n in ROUTER_SWEEP:
             design_a = NetworkDesign(Config.A, ell, n_a, big_n)
-            rep_a = routed_rate(profile, design_a)
-            rate_a[big_n] = rep_a.rate_hz
-            rows.append(rate_row(era, profile, design_a, rep_a, mc))
+            rate_a[big_n] = _add_rate_row(
+                rows, era, profile, design_a, Scenario.ROUTED, mc).rate_hz
             design_b = NetworkDesign(Config.B, ell / xi, 1, big_n * n_a * xi, xi=xi)
-            rep_b = routed_rate(profile, design_b)
-            rate_b[big_n] = rep_b.rate_hz
-            rows.append(rate_row(era, profile, design_b, rep_b, mc))
-            total_a = design_a.big_n * design_a.n * design_a.ell_km
-            total_b = design_b.big_n * design_b.n * design_b.ell_km
+            rate_b[big_n] = _add_rate_row(
+                rows, era, profile, design_b, Scenario.ROUTED, mc).rate_hz
+            total_a, total_b = rows[-2].total_km, rows[-1].total_km
             if not math.isclose(total_a, total_b, rel_tol=1e-12):
-                checks.append(_check(
+                checks.append(CheckResult(
                     f"{era}-matched-length-N{big_n}", False,
                     f"total lengths diverge: {total_a} vs {total_b} km",
                 ))
         if era == "near":
             bad = [N for N in ROUTER_SWEEP if not rate_a[N] > rate_b[N]]
-            checks.append(_check(
+            checks.append(CheckResult(
                 "near-config-a-advantage", not bad,
                 f"expected A ahead at all matched lengths; behind at N={bad}",
             ))
         if era == "long":
             bad = [N for N in ROUTER_SWEEP if not rate_b[N] > rate_a[N]]
-            checks.append(_check(
+            checks.append(CheckResult(
                 "long-config-b-advantage", not bad,
                 f"expected B ahead at all matched lengths; behind at N={bad}",
             ))
@@ -385,20 +360,17 @@ def run_cutoff_window(
         left: dict[int, tuple[float, bool]] = {}
         for big_n in ROUTER_SWEEP:
             design = NetworkDesign(Config.A, ell, n_seg, big_n)
-            report = routed_rate(profile, design)
+            report = _add_rate_row(rows, era, profile, design, Scenario.ROUTED, mc)
             left[big_n] = (report.tau_s, report.tau_clamped)
-            rows.append(rate_row(era, profile, design, report, mc))
         for n in (1, 2):
             taus: list[float] = []
             for ell_x in LENGTH_SWEEP_KM:
                 design = NetworkDesign(Config.A, float(ell_x), n, 1)
-                report = routed_rate(profile, design)
-                taus.append(report.tau_s)
-                rows.append(rate_row(era, profile, design, report, mc))
+                taus.append(_add_rate_row(rows, era, profile, design, Scenario.ROUTED, mc).tau_s)
             bad = [
                 (lo, hi) for lo, hi in zip(taus, taus[1:]) if not hi >= lo
             ]
-            checks.append(_check(
+            checks.append(CheckResult(
                 f"{era}-window-monotone-in-length-n{n}", not bad,
                 f"window duration decreased across {len(bad)} step(s)",
             ))
@@ -407,15 +379,15 @@ def run_cutoff_window(
                 N for N, (tau, clamped) in left.items()
                 if not (clamped and math.isclose(tau, profile.t_nv, rel_tol=1e-12))
             ]
-            checks.append(_check(
+            checks.append(CheckResult(
                 "near-window-clamped", not bad,
                 "expected the storage-time clamp at every N; unclamped at N="
                 f"{bad} with tau {[round(left[N][0], 6) for N in bad]} s",
             ))
         eps_design = NetworkDesign(Config.A, ell, n_seg, 1, epsilon=1.0 - 1e-15)
         tau_limit, _ = routed_cutoff_time(profile, eps_design)
-        floor = timings(eps_design, profile).t_trans
-        checks.append(_check(
+        floor = window_law(Scenario.ROUTED, profile, eps_design).floor_s
+        checks.append(CheckResult(
             f"{era}-window-epsilon-limit",
             math.isclose(tau_limit, floor, rel_tol=1e-9),
             f"tau {tau_limit!r} s vs handoff floor {floor!r} s",
@@ -447,29 +419,21 @@ def run_fidelity(
         end_to_end: dict[int, float] = {}
         for big_n in ROUTER_SWEEP:
             design = NetworkDesign(Config.A, ell, n_seg, big_n)
-            tau, clamped = routed_cutoff_time(profile, design)
-            report = end_to_end_report(profile, design, tau)
-            end_to_end[big_n] = report.fidelity
-            rows.append(SweepRow(
-                scenario="fidelity-end-to-end", era=era, config=design.config.value,
-                n=design.n, big_n=design.big_n, ell_km=design.ell_km,
-                total_km=design.big_n * design.n * design.ell_km,
-                tau_s=tau, tau_clamped=clamped,
-                rate_hz=None, fidelity=report.fidelity, qber=report.qber,
-                mc_rate_hz=None, mc_std_error=None, seed=None,
-            ))
+            row = fidelity_row(era, profile, design, *routed_cutoff_time(profile, design))
+            end_to_end[big_n] = row.fidelity
+            rows.append(row)
         if era == "long":
-            checks.append(_check(
+            checks.append(CheckResult(
                 "long-minimum-fidelity", end_to_end[1] >= 0.80,
                 f"end-to-end fidelity {end_to_end[1]:.4f} at N=1",
             ))
         if era == "near":
             bad = [N for N in ROUTER_SWEEP if N >= 2 and not end_to_end[N] < 0.5]
-            checks.append(_check(
+            checks.append(CheckResult(
                 "near-useful-range", not bad,
                 f"expected sub-0.5 fidelity for N >= 2; above at N={bad}",
             ))
-    checks.append(_check(
+    checks.append(CheckResult(
         "qber-anchor", abs(qber(0.8) - 0.1333) <= 1e-4,
         f"qber(0.8) = {qber(0.8)!r}",
     ))
@@ -519,8 +483,16 @@ _AXES = _INT_AXES | {"ell_km"}
 def _axis_values(spec: SweepSpec) -> list[float]:
     if spec.axis not in _AXES:
         raise SweepError(f"unknown sweep axis {spec.axis!r}; expected one of {sorted(_AXES)}")
+    for name in ("start", "stop", "step"):
+        if not math.isfinite(getattr(spec, name)):
+            raise SweepError(f"sweep {name} {getattr(spec, name)!r} must be finite")
     if spec.step <= 0:
         raise SweepError(f"sweep step {spec.step!r} must be > 0")
+    if (spec.stop - spec.start) / spec.step >= MAX_SWEEP_POINTS:
+        raise SweepError(
+            f"sweep from {spec.start!r} to {spec.stop!r} by {spec.step!r} "
+            f"exceeds {MAX_SWEEP_POINTS} points"
+        )
     values: list[float] = []
     value = spec.start
     # Half-step slack keeps the inclusive endpoint from falling to float error.
@@ -550,23 +522,9 @@ def run_custom(spec: SweepSpec) -> tuple[list[SweepRow], list[CheckResult]]:
                 big_n=spec.big_n, xi=spec.xi, epsilon=spec.epsilon,
             )
             fields[spec.axis] = value
-            design = NetworkDesign(**fields)
-            if spec.scenario is Scenario.SEGMENT:
-                report = segment_rate(profile, design)
-            elif spec.scenario is Scenario.NV_CHAIN:
-                report = nv_chain_rate(profile, design)
-            elif spec.scenario is Scenario.ROUTED:
-                report = routed_rate(profile, design)
-            else:
-                report = routed_rate_no_buffer(profile, design)
-            rows.append(rate_row(
-                era, profile, design, report, spec.mc,
-                show_config=spec.scenario is not Scenario.NV_CHAIN,
-                show_big_n=spec.scenario
-                in (Scenario.ROUTED, Scenario.ROUTED_NO_BUFFER),
-            ))
+            _add_rate_row(rows, era, profile, NetworkDesign(**fields), spec.scenario, spec.mc)
     expected = len(spec.profiles) * len(values)
-    checks = [_check(
+    checks = [CheckResult(
         "row-count", len(rows) == expected,
         f"{len(rows)} rows for {expected} sweep points",
     )]

@@ -26,29 +26,32 @@ from typing import Callable
 
 import numpy as np
 
-from .network import NetworkDesign, timings
+from .network import NetworkDesign
 from .params import ParameterProfile
 from .rates import (
-    attempt_rate,
-    fiber_transmittance,
-    link_success_prob,
-    nv_attempt_rate,
-    nv_link_success_prob,
-    segment_success_prob,
+    Scenario,
+    WindowLaw,
+    link_mode_prob,
+    nv_mode_prob,
     transfer_efficiency,
+    window_law,
+    window_success_prob,
 )
 
 __all__ = [
     "McConfig",
     "McEstimate",
     "McMode",
+    "SCENARIO_MODES",
     "floored_attempts",
     "floored_window_rate",
     "simulate_link",
     "simulate_no_buffer",
     "simulate_nv_chain",
     "simulate_routed",
+    "simulate_scenario",
     "simulate_segment",
+    "window_reference",
 ]
 
 CHUNK_TRIALS = 4096
@@ -74,6 +77,14 @@ _MODE_SALTS = {
     McMode.WINDOW_NO_BUFFER: 5,
 }
 
+# The simulator that checks each closed-form scenario.
+SCENARIO_MODES = {
+    Scenario.SEGMENT: McMode.MICRO_SEGMENT,
+    Scenario.NV_CHAIN: McMode.WINDOW_NV,
+    Scenario.ROUTED: McMode.WINDOW_ROUTED,
+    Scenario.ROUTED_NO_BUFFER: McMode.WINDOW_NO_BUFFER,
+}
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -97,10 +108,6 @@ class McEstimate:
     std_error: float
     trials: int
     seed: int
-
-
-def _clip01(x: float) -> float:
-    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
 def _chunk_rng(master_seed: int, salt: int, index: int) -> np.random.Generator:
@@ -149,12 +156,17 @@ def floored_window_rate(p_attempt: float, k: int, stations: int, tau_s: float) -
     This is the comparison target for the window simulators: same success law,
     same discretization, so discrepancies are pure sampling error.
     """
-    if k <= 0 or p_attempt <= 0.0:
-        return 0.0
-    if p_attempt >= 1.0:
-        return 1.0 / tau_s
-    p_station = -math.expm1(k * math.log1p(-p_attempt))
-    return p_station ** stations / tau_s
+    return window_success_prob(p_attempt, k) ** stations / tau_s
+
+
+def _link_draw(
+    rng: np.random.Generator, count: int, gamma_f: int, p_mode: float, retrieval: float
+) -> np.ndarray:
+    """One attempt per trial on one link: any spectral mode heralds, both halves retrieved."""
+    heralded = rng.binomial(gamma_f, p_mode, size=count) >= 1
+    kept = rng.random(count) < retrieval
+    kept &= rng.random(count) < retrieval
+    return heralded & kept
 
 
 def simulate_link(profile: ParameterProfile, ell_km: float, cfg: McConfig) -> McEstimate:
@@ -164,17 +176,12 @@ def simulate_link(profile: ParameterProfile, ell_km: float, cfg: McConfig) -> Mc
     uniforms.
     """
     _require_mode(cfg, McMode.MICRO_LINK)
-    p_mode = _clip01(
-        fiber_transmittance(profile, ell_km) * profile.eta_bsm * profile.eta_det ** 2
-    )
+    p_mode = link_mode_prob(profile, ell_km)
     retrieval = profile.eta_afc * profile.eta_shift
     gamma_f = profile.gamma_f
 
     def chunk(rng: np.random.Generator, count: int) -> int:
-        heralded = rng.binomial(gamma_f, p_mode, size=count) >= 1
-        kept = rng.random(count) < retrieval
-        kept &= rng.random(count) < retrieval
-        return int(np.count_nonzero(heralded & kept))
+        return int(np.count_nonzero(_link_draw(rng, count, gamma_f, p_mode, retrieval)))
 
     return _estimate(_run_chunks(cfg, chunk), cfg, scale=1.0)
 
@@ -187,9 +194,7 @@ def simulate_segment(profile: ParameterProfile, design: NetworkDesign, cfg: McCo
     uniforms.
     """
     _require_mode(cfg, McMode.MICRO_SEGMENT)
-    p_mode = _clip01(
-        fiber_transmittance(profile, design.ell_km) * profile.eta_bsm * profile.eta_det ** 2
-    )
+    p_mode = link_mode_prob(profile, design.ell_km)
     retrieval = profile.eta_afc * profile.eta_shift
     transfer = transfer_efficiency(profile, design.config, design.n)
     gamma_f = profile.gamma_f
@@ -199,10 +204,7 @@ def simulate_segment(profile: ParameterProfile, design: NetworkDesign, cfg: McCo
     def chunk(rng: np.random.Generator, count: int) -> int:
         ok = np.ones(count, dtype=bool)
         for _link in range(n):
-            heralded = rng.binomial(gamma_f, p_mode, size=count) >= 1
-            kept = rng.random(count) < retrieval
-            kept &= rng.random(count) < retrieval
-            ok &= heralded & kept
+            ok &= _link_draw(rng, count, gamma_f, p_mode, retrieval)
         for _swap in range(n - 1):
             ok &= rng.random(count) < eta_bsm
         ok &= rng.random(count) < transfer
@@ -212,36 +214,47 @@ def simulate_segment(profile: ParameterProfile, design: NetworkDesign, cfg: McCo
     return _estimate(_run_chunks(cfg, chunk), cfg, scale=1.0)
 
 
-def _station_success_chunk(
-    rng: np.random.Generator,
-    count: int,
-    stations: int,
-    k: int,
-    p_attempt: float,
-    micro_draw: Callable[[np.random.Generator, tuple[int, ...]], np.ndarray] | None,
-) -> int:
-    """Windows in this chunk where every station succeeds within k attempts.
+def _simulate_window(
+    law: WindowLaw,
+    tau_s: float,
+    cfg: McConfig,
+    micro_draw: Callable[[np.random.Generator, tuple[int, ...]], np.ndarray] | None = None,
+) -> McEstimate:
+    """Estimate a window rate: windows where every station succeeds within k attempts.
 
-    Per-attempt path draw order: one (count, stations, k) block (uniforms, or
-    the mode-level draw for spin-photon links). Geometric path: one
-    (count, stations) uniform block.
+    k is the law's attempt count floored. Per-attempt path draw order: one
+    (count, stations, k) block (uniforms, or micro_draw for mode-level
+    sampling). Geometric path: one (count, stations) uniform block.
     """
-    if k <= 0 or p_attempt <= 0.0:
-        return 0
-    if p_attempt >= 1.0:
-        return count
-    if stations * k <= PER_ATTEMPT_DRAW_LIMIT:
-        if micro_draw is not None:
-            hits = micro_draw(rng, (count, stations, k))
+    k = floored_attempts(law.omega, law.usable_s(tau_s))
+    p_attempt = law.p_attempt
+    stations = law.stations
+
+    def chunk(rng: np.random.Generator, count: int) -> int:
+        if k <= 0 or p_attempt <= 0.0:
+            return 0
+        if p_attempt >= 1.0:
+            return count
+        if stations * k <= PER_ATTEMPT_DRAW_LIMIT:
+            if micro_draw is not None:
+                hits = micro_draw(rng, (count, stations, k))
+            else:
+                hits = rng.random((count, stations, k)) < p_attempt
+            station_ok = hits.any(axis=2)
         else:
-            hits = rng.random((count, stations, k)) < p_attempt
-        station_ok = hits.any(axis=2)
-    else:
-        u = rng.random((count, stations))
-        with np.errstate(divide="ignore"):
-            first_success = np.floor(np.log(u) / math.log1p(-p_attempt)) + 1.0
-        station_ok = first_success <= k
-    return int(np.count_nonzero(station_ok.all(axis=1)))
+            u = rng.random((count, stations))
+            with np.errstate(divide="ignore"):
+                first_success = np.floor(np.log(u) / math.log1p(-p_attempt)) + 1.0
+            station_ok = first_success <= k
+        return int(np.count_nonzero(station_ok.all(axis=1)))
+
+    return _estimate(_run_chunks(cfg, chunk), cfg, scale=1.0 / tau_s)
+
+
+def window_reference(law: WindowLaw, tau_s: float) -> float:
+    """floored_window_rate of a window law: the comparison target of _simulate_window."""
+    k = floored_attempts(law.omega, law.usable_s(tau_s))
+    return floored_window_rate(law.p_attempt, k, law.stations, tau_s)
 
 
 def simulate_routed(
@@ -252,15 +265,7 @@ def simulate_routed(
 ) -> McEstimate:
     """Estimate the buffered routed-chain rate over fixed windows of tau_s."""
     _require_mode(cfg, McMode.WINDOW_ROUTED)
-    t = timings(design, profile)
-    k = floored_attempts(attempt_rate(profile), tau_s - t.t_trans)
-    p_seg = segment_success_prob(profile, design)
-    big_n = design.big_n
-
-    def chunk(rng: np.random.Generator, count: int) -> int:
-        return _station_success_chunk(rng, count, big_n, k, p_seg, None)
-
-    return _estimate(_run_chunks(cfg, chunk), cfg, scale=1.0 / tau_s)
+    return _simulate_window(window_law(Scenario.ROUTED, profile, design), tau_s, cfg)
 
 
 def simulate_nv_chain(
@@ -275,24 +280,13 @@ def simulate_nv_chain(
     binomial over gamma_t modes and succeeds when any mode heralds.
     """
     _require_mode(cfg, McMode.WINDOW_NV)
-    t = timings(design, profile)
-    k = floored_attempts(nv_attempt_rate(design.ell_km), tau_s / 2.0 - t.t_trans_tilde)
-    p_mode = _clip01(
-        profile.eta_qfc_1588 ** 2
-        * fiber_transmittance(profile, design.ell_km)
-        * profile.eta_bsm
-    )
-    p_link = nv_link_success_prob(profile, design.ell_km)
+    p_mode = nv_mode_prob(profile, design.ell_km)
     gamma_t = profile.gamma_t
-    n = design.n
 
     def micro_draw(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
         return rng.binomial(gamma_t, p_mode, size=shape) >= 1
 
-    def chunk(rng: np.random.Generator, count: int) -> int:
-        return _station_success_chunk(rng, count, n, k, p_link, micro_draw)
-
-    return _estimate(_run_chunks(cfg, chunk), cfg, scale=1.0 / tau_s)
+    return _simulate_window(window_law(Scenario.NV_CHAIN, profile, design), tau_s, cfg, micro_draw)
 
 
 def simulate_no_buffer(
@@ -307,12 +301,22 @@ def simulate_no_buffer(
     and only half of each window is usable for attempts.
     """
     _require_mode(cfg, McMode.WINDOW_NO_BUFFER)
-    t = timings(design, profile)
-    k = floored_attempts(attempt_rate(profile), tau_s / 2.0 - t.t_trans)
-    p_seg = segment_success_prob(profile, design, include_buffer=False)
-    big_n = design.big_n
+    return _simulate_window(window_law(Scenario.ROUTED_NO_BUFFER, profile, design), tau_s, cfg)
 
-    def chunk(rng: np.random.Generator, count: int) -> int:
-        return _station_success_chunk(rng, count, big_n, k, p_seg, None)
 
-    return _estimate(_run_chunks(cfg, chunk), cfg, scale=1.0 / tau_s)
+def simulate_scenario(
+    profile: ParameterProfile,
+    design: NetworkDesign,
+    tau_s: float | None,
+    cfg: McConfig,
+) -> McEstimate:
+    """One estimate for cfg.mode; micro modes ignore tau_s, micro-link reads only ell_km."""
+    if cfg.mode is McMode.MICRO_LINK:
+        return simulate_link(profile, design.ell_km, cfg)
+    if cfg.mode is McMode.MICRO_SEGMENT:
+        return simulate_segment(profile, design, cfg)
+    if cfg.mode is McMode.WINDOW_NV:
+        return simulate_nv_chain(profile, design, tau_s, cfg)
+    if cfg.mode is McMode.WINDOW_ROUTED:
+        return simulate_routed(profile, design, tau_s, cfg)
+    return simulate_no_buffer(profile, design, tau_s, cfg)

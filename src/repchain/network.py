@@ -26,7 +26,6 @@ __all__ = [
     "check_feasibility",
     "max_link_length",
     "resources",
-    "signal_velocity",
     "timings",
 ]
 
@@ -50,13 +49,12 @@ class NetworkDesign:
     big_n: int           # segments in the routed chain
     xi: int = 2          # link shortening factor, configuration B only
     epsilon: float = 0.05  # per-window failure budget, in (0, 1)
-    buffered: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.config, Config):
             raise DesignError(f"config must be Config.A or Config.B, got {self.config!r}")
-        if self.ell_km <= 0:
-            raise DesignError(f"ell_km = {self.ell_km!r} must be > 0")
+        if not (math.isfinite(self.ell_km) and self.ell_km > 0):
+            raise DesignError(f"ell_km = {self.ell_km!r} must be finite and > 0")
         if self.n < 1:
             raise DesignError(f"n = {self.n!r} must be >= 1")
         if self.big_n < 1:
@@ -90,11 +88,6 @@ class ResourceCount:
 class Violation:
     name: str
     message: str
-
-
-def signal_velocity() -> float:
-    """Signal velocity in fiber, km/s."""
-    return SIGNAL_VELOCITY_KM_PER_S
 
 
 def max_link_length(profile: ParameterProfile) -> float:

@@ -7,7 +7,9 @@ nodes and a routed chain of segments both operate in fixed windows of
 duration tau: every station accumulates entanglement attempts inside the
 window and the routers swap at its end, so the window either yields one
 end-to-end pair or nothing. The no-buffer variant loses simultaneous
-two-sided generation and can only use half of each window.
+two-sided generation and can only use half of each window. The three
+windowed scenarios share one WindowLaw, built by window_law(); the Monte
+Carlo simulators and the CLI read the same law.
 
 Closed forms keep real-valued attempt exponents; only the Monte Carlo
 module discretizes attempts.
@@ -19,26 +21,32 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .network import Config, NetworkDesign, signal_velocity, timings
+from .network import SIGNAL_VELOCITY_KM_PER_S, Config, NetworkDesign, timings
 from .params import ParameterProfile
 
 __all__ = [
     "RateReport",
     "Scenario",
+    "WindowLaw",
     "attempt_rate",
     "fiber_transmittance",
+    "link_mode_prob",
     "link_success_prob",
     "no_buffer_cutoff_time",
     "nv_attempt_rate",
     "nv_chain_rate",
     "nv_cutoff_time",
     "nv_link_success_prob",
+    "nv_mode_prob",
     "routed_cutoff_time",
     "routed_rate",
     "routed_rate_no_buffer",
+    "scenario_rate",
     "segment_rate",
     "segment_success_prob",
     "transfer_efficiency",
+    "window_law",
+    "window_success_prob",
 ]
 
 
@@ -68,6 +76,18 @@ def fiber_transmittance(profile: ParameterProfile, ell_km: float) -> float:
     return 10.0 ** (-profile.alpha_db_per_km * ell_km / 10.0)
 
 
+def link_mode_prob(profile: ParameterProfile, ell_km: float) -> float:
+    """Probability that one spectral mode of an elementary link heralds."""
+    return _clip01(fiber_transmittance(profile, ell_km) * profile.eta_bsm * profile.eta_det ** 2)
+
+
+def nv_mode_prob(profile: ParameterProfile, ell_km: float) -> float:
+    """Probability that one temporal mode of a spin-photon link heralds."""
+    return _clip01(
+        profile.eta_qfc_1588 ** 2 * fiber_transmittance(profile, ell_km) * profile.eta_bsm
+    )
+
+
 def link_success_prob(profile: ParameterProfile, ell_km: float) -> float:
     """Per-attempt success probability of one multiplexed elementary link.
 
@@ -76,8 +96,7 @@ def link_success_prob(profile: ParameterProfile, ell_km: float) -> float:
     """
     if ell_km < 0:
         raise ValueError(f"ell_km = {ell_km!r} must be >= 0")
-    p_mode = fiber_transmittance(profile, ell_km) * profile.eta_bsm * profile.eta_det ** 2
-    p_any = 1.0 - (1.0 - _clip01(p_mode)) ** profile.gamma_f
+    p_any = 1.0 - (1.0 - link_mode_prob(profile, ell_km)) ** profile.gamma_f
     return _clip01(p_any * (profile.eta_afc * profile.eta_shift) ** 2)
 
 
@@ -85,8 +104,7 @@ def nv_link_success_prob(profile: ParameterProfile, ell_km: float) -> float:
     """Per-attempt success probability of one spin-photon elementary link."""
     if ell_km < 0:
         raise ValueError(f"ell_km = {ell_km!r} must be >= 0")
-    p_mode = profile.eta_qfc_1588 ** 2 * fiber_transmittance(profile, ell_km) * profile.eta_bsm
-    return _clip01(1.0 - (1.0 - _clip01(p_mode)) ** profile.gamma_t)
+    return _clip01(1.0 - (1.0 - nv_mode_prob(profile, ell_km)) ** profile.gamma_t)
 
 
 def transfer_efficiency(
@@ -132,7 +150,7 @@ def attempt_rate(profile: ParameterProfile) -> float:
 
 def nv_attempt_rate(ell_km: float) -> float:
     """Spin-photon link attempt rate, Hz: one attempt per link traversal."""
-    return signal_velocity() / ell_km
+    return SIGNAL_VELOCITY_KM_PER_S / ell_km
 
 
 def segment_rate(profile: ParameterProfile, design: NetworkDesign) -> RateReport:
@@ -149,62 +167,104 @@ def segment_rate(profile: ParameterProfile, design: NetworkDesign) -> RateReport
     )
 
 
-def _cutoff_closed_form(
-    omega: float,
-    prob: float,
-    count: int,
-    epsilon: float,
-    floor_s: float,
-    t_nv: float,
-    doubled: bool,
-) -> tuple[float, bool]:
-    """Smallest window such that all `count` stations succeed w.p. 1 - epsilon.
-
-    Clamped to [floor_s, t_nv]; the flag reports the upper clamp. Degenerate
-    probabilities resolve to the continuous limits: certain success needs no
-    search time, impossible success saturates the storage budget.
+@dataclass(frozen=True, slots=True)
+class WindowLaw:
+    """Fixed-window law: each station attempts at rate omega, with success
+    p_attempt, during usable_fraction of the window less the handoff floor_s.
     """
-    if prob >= 1.0:
-        return floor_s, False
-    if prob <= 0.0:
-        return t_nv, True
-    per_station_failure = 1.0 - (1.0 - epsilon) ** (1.0 / count)
-    if per_station_failure >= 1.0:
-        return floor_s, False
-    factor = 2.0 if doubled else 1.0
-    raw = factor / omega * math.log(per_station_failure) / math.log1p(-prob) + floor_s
-    if raw > t_nv:
-        return t_nv, True
-    return max(raw, floor_s), False
+
+    omega: float
+    p_attempt: float
+    stations: int
+    usable_fraction: float
+    floor_s: float
+    t_max: float
+
+    def clamp(self, tau_s: float) -> tuple[float, bool]:
+        """Clamp a window into [floor_s, t_max]; the flag reports the upper clamp."""
+        if tau_s > self.t_max:
+            return self.t_max, True
+        return max(tau_s, self.floor_s), False
+
+    def cutoff(self, epsilon: float) -> tuple[float, bool]:
+        """Smallest window such that all stations succeed w.p. 1 - epsilon, clamped.
+
+        Degenerate probabilities resolve to the continuous limits: certain
+        success needs no search time, impossible success saturates the
+        storage budget.
+        """
+        if self.p_attempt >= 1.0:
+            return self.floor_s, False
+        if self.p_attempt <= 0.0:
+            return self.t_max, True
+        per_station_failure = 1.0 - (1.0 - epsilon) ** (1.0 / self.stations)
+        if per_station_failure >= 1.0:
+            return self.floor_s, False
+        return self.clamp(
+            1.0 / self.usable_fraction / self.omega * math.log(per_station_failure)
+            / math.log1p(-self.p_attempt) + self.floor_s
+        )
+
+    def usable_s(self, tau_s: float) -> float:
+        """Attempt time inside a window of tau_s; negative when the window is too short."""
+        return tau_s * self.usable_fraction - self.floor_s
+
+    def attempts(self, tau_s: float) -> float:
+        """Real-valued attempts per station in a window of tau_s."""
+        return max(0.0, self.omega * self.usable_s(tau_s))
 
 
-def _apply_override(tau_s: float, floor_s: float, t_nv: float) -> tuple[float, bool]:
-    # User-supplied windows are clamped defensively into the same regime.
-    if tau_s > t_nv:
-        return t_nv, True
-    return max(tau_s, floor_s), False
-
-
-def _window_success(prob: float, attempts: float) -> float:
-    if attempts <= 0.0 or prob <= 0.0:
+def window_success_prob(p_attempt: float, attempts: float) -> float:
+    """Probability that a station succeeds at least once in `attempts` tries."""
+    if attempts <= 0.0 or p_attempt <= 0.0:
         return 0.0
-    if prob >= 1.0:
+    if p_attempt >= 1.0:
         return 1.0
-    return _clip01(-math.expm1(attempts * math.log1p(-prob)))
+    return -math.expm1(attempts * math.log1p(-p_attempt))
+
+
+def window_law(scenario: Scenario, profile: ParameterProfile, design: NetworkDesign) -> WindowLaw:
+    """The one place that maps a windowed scenario to its window law."""
+    t = timings(design, profile)
+    if scenario is Scenario.NV_CHAIN:
+        p_link = nv_link_success_prob(profile, design.ell_km)
+        return WindowLaw(nv_attempt_rate(design.ell_km), p_link, design.n, 0.5,
+                         t.t_trans_tilde, profile.t_nv)
+    if scenario is Scenario.ROUTED:
+        p_seg = segment_success_prob(profile, design)
+        return WindowLaw(attempt_rate(profile), p_seg, design.big_n, 1.0, t.t_trans, profile.t_nv)
+    if scenario is Scenario.ROUTED_NO_BUFFER:
+        p_seg = segment_success_prob(profile, design, include_buffer=False)
+        return WindowLaw(attempt_rate(profile), p_seg, design.big_n, 0.5, t.t_trans, profile.t_nv)
+    raise ValueError(f"scenario {scenario.value!r} has no window")
+
+
+def _window_rate(
+    scenario: Scenario,
+    profile: ParameterProfile,
+    design: NetworkDesign,
+    tau_s: float | None,
+) -> RateReport:
+    """Rate report over the cutoff window, or over tau_s clamped into range."""
+    law = window_law(scenario, profile, design)
+    tau, clamped = law.cutoff(design.epsilon) if tau_s is None else law.clamp(tau_s)
+    attempts = law.attempts(tau)
+    p_window = window_success_prob(law.p_attempt, attempts)
+    return RateReport(
+        scenario=scenario,
+        tau_s=tau,
+        tau_clamped=clamped,
+        p_link=(law.p_attempt if scenario is Scenario.NV_CHAIN
+                else link_success_prob(profile, design.ell_km)),
+        p_segment=p_window,
+        rate_hz=p_window ** law.stations / tau,
+        attempts_per_window=attempts,
+    )
 
 
 def nv_cutoff_time(profile: ParameterProfile, design: NetworkDesign) -> tuple[float, bool]:
     """Window duration for the homogeneous spin-photon chain."""
-    t = timings(design, profile)
-    return _cutoff_closed_form(
-        omega=nv_attempt_rate(design.ell_km),
-        prob=nv_link_success_prob(profile, design.ell_km),
-        count=design.n,
-        epsilon=design.epsilon,
-        floor_s=t.t_trans_tilde,
-        t_nv=profile.t_nv,
-        doubled=True,
-    )
+    return window_law(Scenario.NV_CHAIN, profile, design).cutoff(design.epsilon)
 
 
 def nv_chain_rate(
@@ -213,37 +273,12 @@ def nv_chain_rate(
     tau_s: float | None = None,
 ) -> RateReport:
     """Window-rate lower bound for a chain of n spin-photon links."""
-    t = timings(design, profile)
-    if tau_s is None:
-        tau, clamped = nv_cutoff_time(profile, design)
-    else:
-        tau, clamped = _apply_override(tau_s, t.t_trans_tilde, profile.t_nv)
-    p_link = nv_link_success_prob(profile, design.ell_km)
-    attempts = max(0.0, nv_attempt_rate(design.ell_km) * (tau / 2.0 - t.t_trans_tilde))
-    p_window = _window_success(p_link, attempts)
-    return RateReport(
-        scenario=Scenario.NV_CHAIN,
-        tau_s=tau,
-        tau_clamped=clamped,
-        p_link=p_link,
-        p_segment=p_window,
-        rate_hz=p_window ** design.n / tau,
-        attempts_per_window=attempts,
-    )
+    return _window_rate(Scenario.NV_CHAIN, profile, design, tau_s)
 
 
 def routed_cutoff_time(profile: ParameterProfile, design: NetworkDesign) -> tuple[float, bool]:
     """Window duration for the buffered routed chain."""
-    t = timings(design, profile)
-    return _cutoff_closed_form(
-        omega=attempt_rate(profile),
-        prob=segment_success_prob(profile, design),
-        count=design.big_n,
-        epsilon=design.epsilon,
-        floor_s=t.t_trans,
-        t_nv=profile.t_nv,
-        doubled=False,
-    )
+    return window_law(Scenario.ROUTED, profile, design).cutoff(design.epsilon)
 
 
 def routed_rate(
@@ -252,37 +287,12 @@ def routed_rate(
     tau_s: float | None = None,
 ) -> RateReport:
     """Window-rate lower bound for the buffered routed chain of big_n segments."""
-    t = timings(design, profile)
-    if tau_s is None:
-        tau, clamped = routed_cutoff_time(profile, design)
-    else:
-        tau, clamped = _apply_override(tau_s, t.t_trans, profile.t_nv)
-    p_seg = segment_success_prob(profile, design)
-    attempts = max(0.0, attempt_rate(profile) * (tau - t.t_trans))
-    p_window = _window_success(p_seg, attempts)
-    return RateReport(
-        scenario=Scenario.ROUTED,
-        tau_s=tau,
-        tau_clamped=clamped,
-        p_link=link_success_prob(profile, design.ell_km),
-        p_segment=p_window,
-        rate_hz=p_window ** design.big_n / tau,
-        attempts_per_window=attempts,
-    )
+    return _window_rate(Scenario.ROUTED, profile, design, tau_s)
 
 
 def no_buffer_cutoff_time(profile: ParameterProfile, design: NetworkDesign) -> tuple[float, bool]:
     """Window duration for the buffer-free routed chain (half-window attempts)."""
-    t = timings(design, profile)
-    return _cutoff_closed_form(
-        omega=attempt_rate(profile),
-        prob=segment_success_prob(profile, design, include_buffer=False),
-        count=design.big_n,
-        epsilon=design.epsilon,
-        floor_s=t.t_trans,
-        t_nv=profile.t_nv,
-        doubled=True,
-    )
+    return window_law(Scenario.ROUTED_NO_BUFFER, profile, design).cutoff(design.epsilon)
 
 
 def routed_rate_no_buffer(profile: ParameterProfile, design: NetworkDesign) -> RateReport:
@@ -293,17 +303,20 @@ def routed_rate_no_buffer(profile: ParameterProfile, design: NetworkDesign) -> R
     dividing the buffered value) and each segment only attempts during half
     of the window.
     """
-    t = timings(design, profile)
-    p_seg = segment_success_prob(profile, design, include_buffer=False)
-    tau, clamped = no_buffer_cutoff_time(profile, design)
-    attempts = max(0.0, attempt_rate(profile) * (tau / 2.0 - t.t_trans))
-    p_window = _window_success(p_seg, attempts)
-    return RateReport(
-        scenario=Scenario.ROUTED_NO_BUFFER,
-        tau_s=tau,
-        tau_clamped=clamped,
-        p_link=link_success_prob(profile, design.ell_km),
-        p_segment=p_window,
-        rate_hz=p_window ** design.big_n / tau,
-        attempts_per_window=attempts,
-    )
+    return _window_rate(Scenario.ROUTED_NO_BUFFER, profile, design, None)
+
+
+def scenario_rate(
+    scenario: Scenario,
+    profile: ParameterProfile,
+    design: NetworkDesign,
+    tau_s: float | None = None,
+) -> RateReport:
+    """Rate report of any scenario; tau_s applies to nv-chain and routed only."""
+    if scenario is Scenario.SEGMENT:
+        return segment_rate(profile, design)
+    if scenario is Scenario.NV_CHAIN:
+        return nv_chain_rate(profile, design, tau_s)
+    if scenario is Scenario.ROUTED:
+        return routed_rate(profile, design, tau_s)
+    return routed_rate_no_buffer(profile, design)

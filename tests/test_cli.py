@@ -2,6 +2,22 @@ import math
 
 import pytest
 
+from repchain import (
+    Config,
+    NetworkDesign,
+    attempt_rate,
+    builtin_profile,
+    floored_attempts,
+    floored_window_rate,
+    max_link_length,
+    no_buffer_cutoff_time,
+    nv_attempt_rate,
+    nv_cutoff_time,
+    nv_link_success_prob,
+    routed_cutoff_time,
+    segment_success_prob,
+    timings,
+)
 from repchain.cli import main
 
 HEADER = (
@@ -154,20 +170,71 @@ def test_simulate_window_routed_defaults_to_cutoff(capsys):
     assert float(fields[9]) == pytest.approx(1181.068350449949, rel=1e-9)
 
 
-@pytest.mark.parametrize("argv", [
-    ["rate", "--scenario", "segment", "--ell-km", "-5"],
-    ["rate", "--scenario", "segment", "--profile", "/nonexistent/profile.txt"],
-    ["rate", "--scenario", "routed", "--epsilon", "1.5"],
-    ["simulate", "--mode", "micro-link", "--trials", "0"],
-    ["simulate", "--mode", "window-routed", "--tau-s", "-1"],
-    ["fidelity", "--tau-s", "-2"],
-    ["sweep", "--scenario", "routed", "--axis", "n",
-     "--start", "5", "--stop", "1", "--step", "1"],
-])
-def test_validation_errors_exit_2(capsys, argv):
-    code, _, err = run(capsys, argv)
+VALIDATION_ERRORS = [
+    (["rate", "--scenario", "segment", "--ell-km", "-5"], "ell_km"),
+    (["rate", "--scenario", "segment", "--profile", "/nonexistent/profile.txt"],
+     "/nonexistent/profile.txt"),
+    (["rate", "--scenario", "routed", "--epsilon", "1.5"], "epsilon"),
+    (["simulate", "--mode", "micro-link", "--trials", "0"], "trials"),
+    (["simulate", "--mode", "window-routed", "--tau-s", "-1"], "--tau-s"),
+    (["fidelity", "--tau-s", "-2"], "--tau-s"),
+    (["sweep", "--scenario", "routed", "--axis", "n",
+      "--start", "5", "--stop", "1", "--step", "1"], "sweep"),
+    # Non-finite values: each is named, none yields a nan row.
+    (["rate", "--scenario", "routed", "--ell-km", "nan"], "ell_km"),
+    (["rate", "--scenario", "routed", "--tau-s", "nan"], "--tau-s"),
+    (["fidelity", "--tau-s", "inf"], "--tau-s"),
+    (["simulate", "--mode", "window-routed", "--tau-s", "nan"], "--tau-s"),
+    (["sweep", "--scenario", "routed", "--axis", "n",
+      "--start", "1", "--stop", "inf", "--step", "1"], "stop"),
+]
+
+
+@pytest.mark.parametrize("argv, field", VALIDATION_ERRORS,
+                         ids=[f"argv{i}" for i in range(len(VALIDATION_ERRORS))])
+def test_validation_errors_exit_2(capsys, argv, field):
+    code, out, err = run(capsys, argv)
     assert code == 2
+    assert out == ""
     assert err.startswith("error:")
+    assert field in err
+
+
+@pytest.mark.parametrize("explicit_tau", [None, 3e-3])
+@pytest.mark.parametrize("mode", ["window-routed", "window-nv", "window-nobuffer"])
+def test_simulate_reference_is_floored_window_law(capsys, mode, explicit_tau):
+    # rate_hz is the closed form with the simulator's floored attempt count,
+    # assembled here from the public pieces of each scenario's window law.
+    profile = builtin_profile("long")
+    design = NetworkDesign(Config.A, max_link_length(profile), 2, 3)
+    t = timings(design, profile)
+    if mode == "window-routed":
+        tau, _ = routed_cutoff_time(profile, design)
+        tau = explicit_tau or tau
+        k = floored_attempts(attempt_rate(profile), tau - t.t_trans)
+        ref = floored_window_rate(segment_success_prob(profile, design), k, design.big_n, tau)
+    elif mode == "window-nv":
+        tau, _ = nv_cutoff_time(profile, design)
+        tau = explicit_tau or tau
+        k = floored_attempts(nv_attempt_rate(design.ell_km), tau / 2.0 - t.t_trans_tilde)
+        ref = floored_window_rate(
+            nv_link_success_prob(profile, design.ell_km), k, design.n, tau)
+    else:
+        tau, _ = no_buffer_cutoff_time(profile, design)
+        tau = explicit_tau or tau
+        k = floored_attempts(attempt_rate(profile), tau / 2.0 - t.t_trans)
+        ref = floored_window_rate(
+            segment_success_prob(profile, design, include_buffer=False), k, design.big_n, tau)
+    argv = ["simulate", "--mode", mode, "--profile", "long", "--n", "2", "--big-n", "3",
+            "--trials", "1000"]
+    if explicit_tau is not None:
+        assert k > 0 and ref > 0.0
+        argv += ["--tau-s", repr(explicit_tau)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    fields = parse_row(out)
+    assert float(fields[7]) == pytest.approx(tau, rel=1e-12)
+    assert float(fields[9]) == pytest.approx(ref, rel=1e-12)
 
 
 def test_profile_file_sets_era_column(capsys, tmp_path):

@@ -16,6 +16,7 @@ from repchain import (
     run_study,
     write_csv,
 )
+from repchain.experiments import MAX_SWEEP_POINTS
 
 EXPECTED_HEADER = (
     "scenario,era,config,n,N,ell_km,total_km,tau_s,tau_clamped,"
@@ -166,6 +167,16 @@ def test_run_custom_axis_validation(profiles):
         run_custom(SweepSpec(axis="n", start=5, stop=2, step=1, **base))
     with pytest.raises(SweepError, match="integers"):
         run_custom(SweepSpec(axis="n", start=1, stop=2, step=0.5, **base))
+    # Non-finite bounds and oversized spans fail before any point is generated.
+    for field, bad in (("start", float("nan")), ("stop", float("inf")), ("step", float("nan"))):
+        spec = dict(axis="ell_km", start=10.0, stop=20.0, step=1.0)
+        spec[field] = bad
+        with pytest.raises(SweepError, match=field):
+            run_custom(SweepSpec(**spec, **base))
+    with pytest.raises(SweepError, match="points"):
+        run_custom(SweepSpec(axis="ell_km", start=1.0, stop=2.0, step=1e-9, **base))
+    with pytest.raises(SweepError, match="points"):
+        run_custom(SweepSpec(axis="big_n", start=1, stop=MAX_SWEEP_POINTS + 1, step=1, **base))
 
 
 def test_mc_columns_disabled_by_default(profiles):

@@ -11,13 +11,8 @@ from repchain import (
     check_feasibility,
     max_link_length,
     resources,
-    signal_velocity,
     timings,
 )
-
-
-def test_signal_velocity():
-    assert signal_velocity() == 2.0e5
 
 
 def test_max_link_length(near, long_term, ideal):
