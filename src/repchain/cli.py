@@ -74,9 +74,6 @@ def _add_design_args(parser: argparse.ArgumentParser) -> None:
                         help="link shortening factor for config B (default: 2)")
     parser.add_argument("--epsilon", type=float, default=0.05, metavar="F",
                         help="accepted window failure probability (default: 0.05)")
-    parser.add_argument("--no-buffer", action="store_true",
-                        help="drop the buffer stage; with --scenario routed this "
-                             "selects the buffer-free rate")
 
 
 def _add_mc_args(parser: argparse.ArgumentParser) -> None:
@@ -102,11 +99,16 @@ def _design_from_args(args: argparse.Namespace, profile: ParameterProfile) -> Ne
     )
 
 
-def _tau_arg(args: argparse.Namespace) -> float | None:
-    """The --tau-s value; a non-finite one is a validation error."""
-    if args.tau_s is not None and not math.isfinite(args.tau_s):
-        raise ValueError(f"--tau-s {args.tau_s!r} must be finite")
-    return args.tau_s
+def _tau_arg(args: argparse.Namespace, allow_zero: bool = False) -> float | None:
+    """The --tau-s value: finite and > 0, or >= 0 where storing for no time is meaningful."""
+    tau = args.tau_s
+    if tau is None:
+        return None
+    if not math.isfinite(tau):
+        raise ValueError(f"--tau-s {tau!r} must be finite")
+    if tau < 0 or (tau == 0 and not allow_zero):
+        raise ValueError(f"--tau-s {tau!r} must be {'>= 0' if allow_zero else '> 0'}")
+    return tau
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -134,8 +136,6 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     if scenario is Scenario.ROUTED and args.no_buffer:
         scenario = Scenario.ROUTED_NO_BUFFER
     design = _design_from_args(args, profile)
-    if scenario in (Scenario.SEGMENT, Scenario.NV_CHAIN):
-        design = replace(design, big_n=1)
     if tau_s is not None and scenario in (Scenario.SEGMENT, Scenario.ROUTED_NO_BUFFER):
         label = "segment" if scenario is Scenario.SEGMENT else "buffer-free"
         print(f"note: --tau-s does not apply to the {label} scenario", file=sys.stderr)
@@ -147,9 +147,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 def _cmd_fidelity(args: argparse.Namespace) -> int:
     era, profile = _resolve_profile(args.profile)
     design = _design_from_args(args, profile)
-    tau = _tau_arg(args)
-    if tau is not None and tau < 0:
-        raise ValueError(f"--tau-s {tau!r} must be >= 0")
+    tau = _tau_arg(args, allow_zero=True)
     tau, clamped = routed_cutoff_time(profile, design) if tau is None else (tau, None)
     _emit(rows_to_csv([fidelity_row(era, profile, design, tau, clamped)]), args.out)
     return 0
@@ -171,8 +169,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     tau = clamped = rate_ref = None
     if mode not in (McMode.MICRO_LINK, McMode.MICRO_SEGMENT):
         # The window rows carry the closed form with the simulator's floored attempts.
-        if tau_s is not None and tau_s <= 0:
-            raise ValueError(f"--tau-s {tau_s!r} must be > 0")
         law = window_law(_MODE_SCENARIOS[mode], profile, design)
         tau, clamped = law.cutoff(design.epsilon) if tau_s is None else (tau_s, None)
         rate_ref = window_reference(law, tau)
@@ -232,6 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=[s.value for s in Scenario])
     _add_profile_arg(p_rate)
     _add_design_args(p_rate)
+    p_rate.add_argument("--no-buffer", action="store_true",
+                        help="drop the buffer stage; with --scenario routed this "
+                             "selects the buffer-free rate")
     p_rate.add_argument("--tau-s", type=float, default=None, metavar="F",
                         help="explicit window duration for nv-chain and routed")
     p_rate.add_argument("--out", default=None, metavar="PATH",

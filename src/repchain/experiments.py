@@ -64,6 +64,9 @@ OPERATING_N = {"near": 1, "long": 2}
 # Upper bound on the points of one custom sweep; the standard studies use at most 10.
 MAX_SWEEP_POINTS = 10_000
 
+# Scenarios with routers; the others run on one segment and hide the N column.
+_ROUTED_SCENARIOS = (Scenario.ROUTED, Scenario.ROUTED_NO_BUFFER)
+
 
 class SweepError(ValueError):
     """Raised when a sweep specification is unusable."""
@@ -147,6 +150,7 @@ def rate_row(
     With MC on, segment probabilities are scaled to rates by the attempt rate.
     """
     scenario = report.scenario
+    routed = scenario in _ROUTED_SCENARIOS
     est = None
     if mc.enabled:
         mode = SCENARIO_MODES[scenario]
@@ -160,9 +164,9 @@ def rate_row(
         era=era,
         config=None if scenario is Scenario.NV_CHAIN else design.config.value,
         n=design.n,
-        big_n=design.big_n if scenario in (Scenario.ROUTED, Scenario.ROUTED_NO_BUFFER) else None,
+        big_n=design.big_n if routed else None,
         ell_km=design.ell_km,
-        total_km=design.big_n * design.n * design.ell_km,
+        total_km=(design.big_n if routed else 1) * design.n * design.ell_km,
         tau_s=report.tau_s,
         tau_clamped=report.tau_clamped if report.tau_s is not None else None,
         rate_hz=report.rate_hz,
@@ -483,6 +487,11 @@ _AXES = _INT_AXES | {"ell_km"}
 def _axis_values(spec: SweepSpec) -> list[float]:
     if spec.axis not in _AXES:
         raise SweepError(f"unknown sweep axis {spec.axis!r}; expected one of {sorted(_AXES)}")
+    if spec.axis == "big_n" and spec.scenario not in _ROUTED_SCENARIOS:
+        raise SweepError(
+            f"sweep axis big_n does not apply to the {spec.scenario.value} scenario, "
+            f"which has no routers"
+        )
     for name in ("start", "stop", "step"):
         if not math.isfinite(getattr(spec, name)):
             raise SweepError(f"sweep {name} {getattr(spec, name)!r} must be finite")

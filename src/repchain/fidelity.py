@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .network import Config, NetworkDesign
 from .params import DEFAULT_DECOHERENCE_RATE_PER_S, ParameterProfile
+
+# numpy is imported inside the oracle only, so the closed-form commands,
+# which never call it, start without loading numpy.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "InternalCheckError",
@@ -35,11 +38,6 @@ __all__ = [
 ]
 
 _TRACE_TOL = 1e-10
-
-# Bell state (|00> + |11>) / sqrt(2) in basis order 00, 01, 10, 11.
-_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-_RHO_BELL = np.outer(_PHI_PLUS, _PHI_PLUS)
-_EYE4 = np.eye(4)
 
 
 class InternalCheckError(RuntimeError):
@@ -195,6 +193,8 @@ def profile_stage_fidelities(profile: ParameterProfile) -> tuple[float, ...]:
 
 
 def _check_state(rho: np.ndarray) -> None:
+    import numpy as np
+
     if abs(np.trace(rho).real - 1.0) > _TRACE_TOL:
         raise InternalCheckError(f"density matrix trace drifted: {np.trace(rho)!r}")
     if np.abs(rho - rho.conj().T).max() > _TRACE_TOL:
@@ -202,7 +202,9 @@ def _check_state(rho: np.ndarray) -> None:
 
 
 def _depolarize(rho: np.ndarray, alpha: float) -> np.ndarray:
-    rho = alpha * rho + (1.0 - alpha) / 4.0 * _EYE4
+    import numpy as np
+
+    rho = alpha * rho + (1.0 - alpha) / 4.0 * np.eye(4)
     _check_state(rho)
     return rho
 
@@ -235,7 +237,11 @@ def compose_oracle(
     }
     decay = math.exp(-decoherence_rate_per_s * tau_s)
 
-    rho = _RHO_BELL.copy()
+    import numpy as np
+
+    # Bell state (|00> + |11>) / sqrt(2) in basis order 00, 01, 10, 11.
+    phi_plus = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    rho = np.outer(phi_plus, phi_plus)
     _check_state(rho)
     for _segment in range(big_n):
         for _link in range(n):
@@ -261,4 +267,4 @@ def compose_oracle(
                 rho = _depolarize(rho, decay)
         rho = _depolarize(rho, w["f_cnot"])
         rho = _depolarize(rho, w["f_rout"])
-    return float(_PHI_PLUS @ rho @ _PHI_PLUS)
+    return float(phi_plus @ rho @ phi_plus)

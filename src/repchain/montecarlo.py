@@ -20,11 +20,8 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .network import NetworkDesign
 from .params import ParameterProfile
@@ -37,6 +34,12 @@ from .rates import (
     window_law,
     window_success_prob,
 )
+
+# numpy and the thread pool are imported by the draw kernels and
+# simulate_scenario at first use, so the closed-form commands, which never
+# draw, start without loading either.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "McConfig",
@@ -94,6 +97,10 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("master_seed", "trials", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValueError(f"{name} = {value!r} must be an integer")
         if not 0 <= self.master_seed <= MAX_SEED:
             raise ValueError(f"master_seed = {self.master_seed!r} outside [0, 2^64)")
         if self.trials < 1:
@@ -111,6 +118,8 @@ class McEstimate:
 
 
 def _chunk_rng(master_seed: int, salt: int, index: int) -> np.random.Generator:
+    import numpy as np
+
     seq = np.random.SeedSequence([master_seed, salt, index])
     return np.random.Generator(np.random.Philox(seq))
 
@@ -125,6 +134,8 @@ def _run_chunks(cfg: McConfig, chunk_fn: Callable[[np.random.Generator, int], in
 
     if cfg.workers == 1:
         return sum(run_chunk(i) for i in range(n_chunks))
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         return sum(pool.map(run_chunk, range(n_chunks)))
 
@@ -181,6 +192,8 @@ def simulate_link(profile: ParameterProfile, ell_km: float, cfg: McConfig) -> Mc
     gamma_f = profile.gamma_f
 
     def chunk(rng: np.random.Generator, count: int) -> int:
+        import numpy as np
+
         return int(np.count_nonzero(_link_draw(rng, count, gamma_f, p_mode, retrieval)))
 
     return _estimate(_run_chunks(cfg, chunk), cfg, scale=1.0)
@@ -202,6 +215,8 @@ def simulate_segment(profile: ParameterProfile, design: NetworkDesign, cfg: McCo
     eta_bsm = profile.eta_bsm
 
     def chunk(rng: np.random.Generator, count: int) -> int:
+        import numpy as np
+
         ok = np.ones(count, dtype=bool)
         for _link in range(n):
             ok &= _link_draw(rng, count, gamma_f, p_mode, retrieval)
@@ -231,6 +246,8 @@ def _simulate_window(
     stations = law.stations
 
     def chunk(rng: np.random.Generator, count: int) -> int:
+        import numpy as np
+
         if k <= 0 or p_attempt <= 0.0:
             return 0
         if p_attempt >= 1.0:
@@ -311,6 +328,14 @@ def simulate_scenario(
     cfg: McConfig,
 ) -> McEstimate:
     """One estimate for cfg.mode; micro modes ignore tau_s, micro-link reads only ell_km."""
+    # Load numpy, and the thread pool when one is used, here before dispatch, so
+    # that the first estimate of a process does not book the imports as time
+    # spent in its simulator.
+    import numpy  # noqa: F401
+
+    if cfg.workers > 1:
+        import concurrent.futures  # noqa: F401
+
     if cfg.mode is McMode.MICRO_LINK:
         return simulate_link(profile, design.ell_km, cfg)
     if cfg.mode is McMode.MICRO_SEGMENT:

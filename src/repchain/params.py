@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,6 +157,10 @@ def builtin_profile(era: Era | str) -> ParameterProfile:
 
 def validate_profile(profile: ParameterProfile) -> ParameterProfile:
     """Check every field range; raise ParameterValidationError naming the field."""
+    for name in _FIELD_NAMES:
+        value = getattr(profile, name)
+        if name not in _COUNT_FIELDS and not math.isfinite(value):
+            raise ParameterValidationError(f"{name} = {value!r} must be finite")
     for name in _EFFICIENCY_FIELDS:
         value = getattr(profile, name)
         if not 0.0 <= value <= 1.0:
@@ -195,7 +200,7 @@ def _parse_value(key: str, text: str, lineno: int):
             raise ProfileParseError(
                 f"line {lineno}: value for {key} is not a number: {text!r}"
             ) from None
-        if as_float != int(as_float):
+        if not math.isfinite(as_float) or as_float != int(as_float):
             raise ParameterValidationError(
                 f"{key} = {text} must be a nonnegative integer"
             )

@@ -1,7 +1,13 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repchain
 from repchain import (
     Config,
     NetworkDesign,
@@ -50,6 +56,11 @@ def test_no_command_is_usage_error(capsys):
     ["simulate", "--mode", "bogus"],
     ["reproduce", "--study", "bogus", "--out", "x.csv"],
     ["rate"],
+    # --no-buffer selects the buffer-free rate, so only rate takes it.
+    ["fidelity", "--no-buffer"],
+    ["simulate", "--mode", "window-routed", "--no-buffer"],
+    ["sweep", "--scenario", "routed", "--axis", "n", "--start", "1", "--stop", "3",
+     "--step", "1", "--no-buffer"],
 ])
 def test_bad_choices_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, argv)
@@ -88,6 +99,20 @@ def test_no_buffer_flag_switches_scenario(capsys):
     fields = parse_row(out)
     assert fields[0] == "routed-nobuffer"
     assert float(fields[9]) == pytest.approx(50.39892893014383, rel=1e-9)
+
+
+@pytest.mark.parametrize("scenario, profile", [("segment", "near"), ("nv-chain", "long")])
+def test_sweep_and_rate_agree_on_routerless_rows(capsys, scenario, profile):
+    # Segment and nv-chain run on one segment: a template --big-n must not
+    # reach total_km in a sweep any more than in a rate call.
+    design = ["--scenario", scenario, "--profile", profile, "--n", "2", "--big-n", "3"]
+    code, swept, _ = run(capsys, ["sweep", "--axis", "n", "--start", "2", "--stop", "2",
+                                  "--step", "1", *design])
+    assert code == 0
+    _, rated, _ = run(capsys, ["rate", *design])
+    assert swept == rated
+    fields = parse_row(rated)
+    assert float(fields[6]) == 2 * float(fields[5])
 
 
 def test_rate_nv_chain_hides_config_and_big_n(capsys):
@@ -187,6 +212,16 @@ VALIDATION_ERRORS = [
     (["simulate", "--mode", "window-routed", "--tau-s", "nan"], "--tau-s"),
     (["sweep", "--scenario", "routed", "--axis", "n",
       "--start", "1", "--stop", "inf", "--step", "1"], "stop"),
+    # rate takes a window duration > 0, as simulate does.
+    (["rate", "--scenario", "routed", "--tau-s", "-1"], "--tau-s"),
+    (["rate", "--scenario", "routed", "--tau-s", "0"], "--tau-s"),
+    # Segment and nv-chain have no routers to sweep.
+    (["sweep", "--scenario", "segment", "--axis", "big-n",
+      "--start", "1", "--stop", "3", "--step", "1"], "big_n"),
+    (["sweep", "--scenario", "nv-chain", "--axis", "big-n",
+      "--start", "1", "--stop", "3", "--step", "1"], "big_n"),
+    (["sweep", "--scenario", "segment", "--axis", "n",
+      "--start", "1", "--stop", "3", "--step", "1", "--big-n", "0"], "big_n"),
 ]
 
 
@@ -246,6 +281,23 @@ def test_profile_file_sets_era_column(capsys, tmp_path):
     fields = parse_row(out)
     assert fields[1] == "lab-upgrade"
     assert float(fields[9]) > 690866.1119378718  # better swap than built-in long
+
+
+@pytest.mark.parametrize("lines, field", [
+    ("t_nv = inf\nalpha_db_per_km = nan\n", "t_nv"),
+    ("alpha_db_per_km = nan\n", "alpha_db_per_km"),
+    # Count fields are parsed as integers; a non-finite one is named too.
+    ("gamma_t = inf\n", "gamma_t"),
+    ("gamma_f = nan\n", "gamma_f"),
+])
+def test_non_finite_profile_field_exits_2(capsys, tmp_path, lines, field):
+    path = tmp_path / "broken.profile"
+    path.write_text("base = near\n" + lines, encoding="utf-8")
+    code, out, err = run(capsys, ["rate", "--scenario", "nv-chain", "--profile", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"{field} = " in err
 
 
 def test_reproduce_fidelity_near(capsys, tmp_path):
@@ -310,3 +362,48 @@ def test_tau_note_for_segment_goes_to_stderr(capsys):
     assert code == 0
     assert "--tau-s" in err
     assert out.splitlines()[1].startswith("segment,")
+
+
+# Runs main() on each argv in a new interpreter, then reports which of the
+# heavy modules the closed-form commands avoid were loaded.
+_FRESH_CLI = """
+import json, sys
+from repchain.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+heavy = [name for name in ("numpy", "concurrent.futures") if name in sys.modules]
+print(json.dumps({"codes": codes, "loaded": heavy}))
+"""
+
+
+def _fresh_cli(argvs):
+    src = str(Path(repchain.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CLI, json.dumps(argvs)],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    return json.loads(proc.stdout)
+
+
+def test_closed_form_commands_do_not_load_numpy(tmp_path):
+    out = [str(tmp_path / f"{i}.csv") for i in range(4)]
+    result = _fresh_cli([
+        ["rate", "--scenario", "routed", "--out", out[0]],
+        ["fidelity", "--out", out[1]],
+        ["sweep", "--scenario", "routed", "--axis", "n",
+         "--start", "1", "--stop", "3", "--step", "1", "--out", out[2]],
+        ["reproduce", "--study", "fidelity", "--era", "near", "--out", out[3]],
+    ])
+    assert result == {"codes": [0, 0, 0, 0], "loaded": []}
+    assert all(Path(path).read_text(encoding="utf-8").startswith(HEADER) for path in out)
+
+
+def test_monte_carlo_loads_numpy_on_first_draw(tmp_path):
+    out = tmp_path / "mc.csv"
+    result = _fresh_cli([["simulate", "--mode", "micro-link", "--trials", "4096",
+                          "--out", str(out)]])
+    assert result["codes"] == [0]
+    assert "numpy" in result["loaded"]
+    assert out.read_text(encoding="utf-8") == (
+        HEADER + "\nmicro-link,near,A,1,,20.0,20.0,,,,,,0.078125,0.0041932529387982585,0\n"
+    )

@@ -179,6 +179,15 @@ def test_run_custom_axis_validation(profiles):
         run_custom(SweepSpec(axis="big_n", start=1, stop=MAX_SWEEP_POINTS + 1, step=1, **base))
 
 
+@pytest.mark.parametrize("scenario", [Scenario.SEGMENT, Scenario.NV_CHAIN])
+def test_run_custom_routerless_scenarios_use_one_segment(profiles, scenario):
+    base = dict(scenario=scenario, profiles=profiles[:1], big_n=3)
+    rows, _ = run_custom(SweepSpec(axis="n", start=1, stop=3, step=1, ell_km=10.0, **base))
+    assert [row.total_km for row in rows] == [10.0, 20.0, 30.0]
+    with pytest.raises(SweepError, match="big_n"):
+        run_custom(SweepSpec(axis="big_n", start=1, stop=3, step=1, **base))
+
+
 def test_mc_columns_disabled_by_default(profiles):
     rows, _ = run_study(Study.RATE_VS_LINKS, profiles)
     assert all(row.mc_rate_hz is None and row.seed is None for row in rows)

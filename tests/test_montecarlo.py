@@ -46,6 +46,21 @@ def test_mcconfig_validation():
         McConfig(0, 10, McMode.MICRO_LINK, workers=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("master_seed", 1.0),
+    ("trials", math.inf),
+    ("trials", 4096.0),
+    ("workers", math.inf),
+    ("workers", 2.0),
+])
+def test_mcconfig_rejects_non_integers_naming_the_field(field, value):
+    # Validation alone: a rejected config never reaches the worker pool.
+    kwargs = dict(master_seed=0, trials=10, mode=McMode.MICRO_LINK, workers=1)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        McConfig(**kwargs)
+
+
 def test_mode_mismatch_rejected(near):
     cfg = McConfig(0, 10, McMode.MICRO_SEGMENT)
     with pytest.raises(ValueError, match="expected"):

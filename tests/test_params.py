@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -86,6 +87,23 @@ def test_validate_rejects_out_of_range(near, field, value):
     bad = dataclasses.replace(near, **{field: value})
     with pytest.raises(ParameterValidationError, match=field):
         validate_profile(bad)
+
+
+def test_validate_rejects_non_finite_floats(near):
+    float_fields = [f.name for f in dataclasses.fields(ParameterProfile) if f.type == "float"]
+    assert "t_nv" in float_fields and "gamma_t" not in float_fields
+    for field in float_fields:
+        for value in (math.nan, math.inf, -math.inf):
+            bad = dataclasses.replace(near, **{field: value})
+            with pytest.raises(ParameterValidationError, match=f"{field} = .* must be finite"):
+                validate_profile(bad)
+
+
+def test_load_profile_rejects_non_finite_value(tmp_path):
+    path = tmp_path / "inf.profile"
+    path.write_text("base = near\nt_nv = inf\n", encoding="utf-8")
+    with pytest.raises(ParameterValidationError, match="t_nv"):
+        load_profile(path)
 
 
 def test_validate_rejects_fractional_count(near):
