@@ -133,6 +133,9 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     era, profile = _resolve_profile(args.profile)
     tau_s = _tau_arg(args)
     scenario = Scenario(args.scenario)
+    if args.no_buffer and scenario in (Scenario.SEGMENT, Scenario.NV_CHAIN):
+        print(f"note: --no-buffer does not apply to the {scenario.value} scenario",
+              file=sys.stderr)
     if scenario is Scenario.ROUTED and args.no_buffer:
         scenario = Scenario.ROUTED_NO_BUFFER
     design = _design_from_args(args, profile)

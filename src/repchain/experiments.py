@@ -499,7 +499,7 @@ def _axis_values(spec: SweepSpec) -> list[float]:
         raise SweepError(f"sweep step {spec.step!r} must be > 0")
     if (spec.stop - spec.start) / spec.step >= MAX_SWEEP_POINTS:
         raise SweepError(
-            f"sweep from {spec.start!r} to {spec.stop!r} by {spec.step!r} "
+            f"sweep from start {spec.start!r} to stop {spec.stop!r} by step {spec.step!r} "
             f"exceeds {MAX_SWEEP_POINTS} points"
         )
     values: list[float] = []
@@ -515,7 +515,10 @@ def _axis_values(spec: SweepSpec) -> list[float]:
     if spec.axis in _INT_AXES:
         for v in values:
             if v != int(v) or v < 1:
-                raise SweepError(f"axis {spec.axis} requires positive integers, got {v!r}")
+                raise SweepError(
+                    f"sweep axis {spec.axis} requires positive integers, got {v!r} "
+                    f"from start {spec.start!r} by step {spec.step!r}"
+                )
         return [int(v) for v in values]
     return values
 

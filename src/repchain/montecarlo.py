@@ -14,6 +14,9 @@ Window modes sample each station's within-window success one of two ways,
 chosen deterministically from the per-window draw budget: attempt-by-attempt
 Bernoulli draws when stations * attempts <= 512, otherwise inversion of the
 time-to-first-success geometric law. The two are identical in distribution.
+The attempt-by-attempt block of a chunk is drawn in slices of BLOCK_TRIALS
+trials, which continue one stream and so draw the numbers of the whole block;
+a chunk holds at most 1 MiB of draws at a time.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ __all__ = [
 
 CHUNK_TRIALS = 4096
 PER_ATTEMPT_DRAW_LIMIT = 512
+# Trials per slice of a per-attempt block: at most 1 MiB of float64 uniforms
+# at PER_ATTEMPT_DRAW_LIMIT draws per trial.
+BLOCK_TRIALS = 256
 
 MAX_SEED = 2**64 - 1
 
@@ -239,7 +245,10 @@ def _simulate_window(
 
     k is the law's attempt count floored. Per-attempt path draw order: one
     (count, stations, k) block (uniforms, or micro_draw for mode-level
-    sampling). Geometric path: one (count, stations) uniform block.
+    sampling), drawn as consecutive slices of BLOCK_TRIALS trials. numpy fills
+    each slice in C order and carries the stream from one call to the next, so
+    the slices hold exactly the numbers of the one-shot block. Geometric path:
+    one (count, stations) uniform block.
     """
     k = floored_attempts(law.omega, law.usable_s(tau_s))
     p_attempt = law.p_attempt
@@ -253,17 +262,22 @@ def _simulate_window(
         if p_attempt >= 1.0:
             return count
         if stations * k <= PER_ATTEMPT_DRAW_LIMIT:
-            if micro_draw is not None:
-                hits = micro_draw(rng, (count, stations, k))
-            else:
-                hits = rng.random((count, stations, k)) < p_attempt
-            station_ok = hits.any(axis=2)
-        else:
-            u = rng.random((count, stations))
-            with np.errstate(divide="ignore"):
-                first_success = np.floor(np.log(u) / math.log1p(-p_attempt)) + 1.0
-            station_ok = first_success <= k
-        return int(np.count_nonzero(station_ok.all(axis=1)))
+            if micro_draw is None:
+                u = np.empty((min(count, BLOCK_TRIALS), stations, k))
+            windows = 0
+            for start in range(0, count, BLOCK_TRIALS):
+                rows = min(BLOCK_TRIALS, count - start)
+                if micro_draw is not None:
+                    station_ok = micro_draw(rng, (rows, stations, k)).any(axis=2)
+                else:
+                    # A station succeeds when any uniform, so its smallest, is < p_attempt.
+                    station_ok = rng.random(out=u[:rows]).min(axis=2) < p_attempt
+                windows += int(np.count_nonzero(station_ok.all(axis=1)))
+            return windows
+        u = rng.random((count, stations))
+        with np.errstate(divide="ignore"):
+            first_success = np.floor(np.log(u) / math.log1p(-p_attempt)) + 1.0
+        return int(np.count_nonzero((first_success <= k).all(axis=1)))
 
     return _estimate(_run_chunks(cfg, chunk), cfg, scale=1.0 / tau_s)
 

@@ -59,6 +59,11 @@ class NetworkDesign:
             raise DesignError(f"n = {self.n!r} must be >= 1")
         if self.big_n < 1:
             raise DesignError(f"big_n = {self.big_n!r} must be >= 1")
+        if not math.isfinite(self.big_n * self.n * self.ell_km):
+            raise DesignError(
+                f"ell_km = {self.ell_km!r} over big_n * n = {self.big_n * self.n} links "
+                f"gives a non-finite total length"
+            )
         if self.xi < 2:
             raise DesignError(f"xi = {self.xi!r} must be >= 2")
         if not 0.0 < self.epsilon < 1.0:

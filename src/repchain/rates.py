@@ -200,6 +200,9 @@ class WindowLaw:
         per_station_failure = 1.0 - (1.0 - epsilon) ** (1.0 / self.stations)
         if per_station_failure >= 1.0:
             return self.floor_s, False
+        if per_station_failure <= 0.0:
+            # epsilon too small to show in one station's share: no finite window meets it.
+            return self.t_max, True
         return self.clamp(
             1.0 / self.usable_fraction / self.omega * math.log(per_station_failure)
             / math.log1p(-self.p_attempt) + self.floor_s

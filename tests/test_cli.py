@@ -6,11 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repchain
 from repchain import (
     Config,
     NetworkDesign,
+    Scenario,
     attempt_rate,
     builtin_profile,
     floored_attempts,
@@ -222,6 +224,10 @@ VALIDATION_ERRORS = [
       "--start", "1", "--stop", "3", "--step", "1"], "big_n"),
     (["sweep", "--scenario", "segment", "--axis", "n",
       "--start", "1", "--stop", "3", "--step", "1", "--big-n", "0"], "big_n"),
+    # Finite inputs whose total length big_n * n * ell_km overflows.
+    (["rate", "--scenario", "routed", "--profile", "near", "--ell-km", "1e308", "--n", "2"],
+     "ell_km"),
+    (["fidelity", "--profile", "near", "--ell-km", "1e308", "--big-n", "2"], "ell_km"),
 ]
 
 
@@ -233,6 +239,76 @@ def test_validation_errors_exit_2(capsys, argv, field):
     assert out == ""
     assert err.startswith("error:")
     assert field in err
+
+
+# Non-finite, zero, negative, subnormal and huge values for one float flag.
+_EXTREME_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308]),
+    st.floats(max_value=-1e-300, allow_infinity=False),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+)
+_FLAG_FIELDS = {
+    "--ell-km": "ell_km", "--tau-s": "--tau-s", "--epsilon": "epsilon",
+    "--start": "start", "--stop": "stop", "--step": "step",
+}
+_SPAN = {"--start": "1", "--stop": "3", "--step": "1"}
+_NUMERIC_COLUMNS = {"n", "N", "ell_km", "total_km", "tau_s", "rate_hz", "fidelity", "qber",
+                    "mc_rate_hz", "mc_std_error", "seed"}
+
+
+@st.composite
+def _extreme_calls(draw):
+    """A rate, fidelity or sweep argv with one float flag set to an extreme value,
+    and the field names an error about that flag may give."""
+    command = draw(st.sampled_from(["rate", "fidelity", "sweep"]))
+    argv = [command]
+    flags = ["--ell-km", "--epsilon"]
+    fields = set()
+    if command != "fidelity":
+        scenario = draw(st.sampled_from([s.value for s in Scenario]))
+        argv += ["--scenario", scenario]
+    if command == "sweep":
+        routed = scenario.startswith("routed")
+        axis = draw(st.sampled_from(["n", "ell-km", "big-n"] if routed else ["n", "ell-km"]))
+        argv += ["--axis", axis]
+        flags += list(_SPAN)
+        if axis == "ell-km":
+            fields.add("ell_km")      # a swept value reaches the design as ell_km
+    else:
+        flags.append("--tau-s")
+    argv += ["--profile", draw(st.sampled_from(["near", "long"])),
+             "--n", str(draw(st.integers(1, 3))), "--big-n", str(draw(st.integers(1, 3)))]
+    flag = draw(st.sampled_from(flags))
+    if command == "sweep":
+        argv += [f"{name}={value}" for name, value in _SPAN.items() if name != flag]
+    # The = form keeps argparse from reading a value such as -1e308 as an option.
+    argv.append(f"{flag}={draw(_EXTREME_FLOATS)!r}")
+    return argv, fields | {_FLAG_FIELDS[flag]}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(call=_extreme_calls())
+@example(call=(["rate", "--scenario", "routed", "--profile", "near", "--ell-km", "1e308",
+                "--n", "2"], {"ell_km"}))
+@example(call=(["fidelity", "--profile", "near", "--ell-km", "1e308", "--big-n", "2"],
+               {"ell_km"}))
+def test_extreme_floats_exit_2_naming_the_field_or_give_finite_rows(capsys, call):
+    # No --with-mc and no --workers: no estimate runs and no thread starts.
+    argv, fields = call
+    code, out, err = run(capsys, argv)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error:")
+        assert any(field in err for field in fields), err
+        return
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == HEADER
+    for line in lines[1:]:
+        for column, cell in zip(HEADER.split(","), line.split(",")):
+            if column in _NUMERIC_COLUMNS and cell:
+                assert math.isfinite(float(cell)), (column, line)
 
 
 @pytest.mark.parametrize("explicit_tau", [None, 3e-3])
@@ -362,6 +438,16 @@ def test_tau_note_for_segment_goes_to_stderr(capsys):
     assert code == 0
     assert "--tau-s" in err
     assert out.splitlines()[1].startswith("segment,")
+
+
+@pytest.mark.parametrize("scenario", ["segment", "nv-chain"])
+def test_no_buffer_note_for_routerless_scenarios_goes_to_stderr(capsys, scenario):
+    argv = ["rate", "--scenario", scenario, "--profile", "long", "--n", "2"]
+    _, plain, _ = run(capsys, argv)
+    code, out, err = run(capsys, [*argv, "--no-buffer"])
+    assert code == 0
+    assert err == f"note: --no-buffer does not apply to the {scenario} scenario\n"
+    assert out == plain
 
 
 # Runs main() on each argv in a new interpreter, then reports which of the

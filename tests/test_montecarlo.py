@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repchain import (
@@ -23,7 +25,15 @@ from repchain import (
     simulate_segment,
     timings,
 )
-from repchain.montecarlo import CHUNK_TRIALS, MAX_SEED
+from repchain.montecarlo import (
+    _MODE_SALTS,
+    CHUNK_TRIALS,
+    MAX_SEED,
+    PER_ATTEMPT_DRAW_LIMIT,
+    _chunk_rng,
+    _simulate_window,
+)
+from repchain.rates import WindowLaw
 
 LONG_ELL = 59.99999999999999
 TAU_ROUTED_LONG = 0.0008043212020616748
@@ -225,3 +235,57 @@ def test_draw_paths_agree_at_budget_boundary(long_term, k_target):
     est = simulate_routed(long_term, design, tau,
                           McConfig(4242, 20000, McMode.WINDOW_ROUTED))
     assert abs(est.mean - ref) <= 3.0 * est.std_error
+
+
+def _uniform_hits(p_attempt):
+    return lambda rng, shape: rng.random(shape) < p_attempt
+
+
+def _binomial_hits(gamma, p_mode, threshold):
+    # A count threshold above 1 keeps the tally away from 0 and from every
+    # trial, so it depends on each binomial drawn.
+    return lambda rng, shape: rng.binomial(gamma, p_mode, size=shape) >= threshold
+
+
+@pytest.mark.parametrize("micro, hits", [
+    (False, _uniform_hits(0.01)),
+    # gamma * p below and above 30: numpy's inversion and BTPE binomial samplers.
+    (True, _binomial_hits(50, 0.01, 3)),
+    (True, _binomial_hits(1000, 0.05, 65)),
+], ids=["uniform", "binomial-inversion", "binomial-btpe"])
+def test_window_slices_draw_the_one_block_stream(micro, hits):
+    # 5000 trials make chunks of 4096 and 904 trials, neither a whole number
+    # of slices; stations * k = 4 * 128 is the full per-attempt budget.
+    stations, k, trials = 4, 128, 5000
+    assert stations * k == PER_ATTEMPT_DRAW_LIMIT
+    law = WindowLaw(omega=1.0, p_attempt=0.01, stations=stations, usable_fraction=1.0,
+                    floor_s=0.0, t_max=1e9)
+    cfg = McConfig(2024, trials, McMode.WINDOW_NV if micro else McMode.WINDOW_ROUTED)
+    windows = 0
+    for index in range(2):
+        count = min(CHUNK_TRIALS, trials - index * CHUNK_TRIALS)
+        block = hits(_chunk_rng(cfg.master_seed, _MODE_SALTS[cfg.mode], index),
+                     (count, stations, k))
+        windows += int(np.count_nonzero(block.any(axis=2).all(axis=1)))
+    assert 0 < windows < trials
+    est = _simulate_window(law, float(k), cfg, hits if micro else None)
+    assert est.mean == windows / trials * (1.0 / k)
+
+
+def test_per_attempt_window_memory_stays_bounded(long_term):
+    # One chunk at the full per-attempt budget: a one-shot (4096, 1, 512)
+    # float64 block would take 16 MiB.
+    design = _design(LONG_ELL, 2, 1)
+    omega = attempt_rate(long_term)
+    tau = timings(design, long_term).t_trans + (PER_ATTEMPT_DRAW_LIMIT + 0.5) / omega
+    cfg = McConfig(4242, CHUNK_TRIALS, McMode.WINDOW_ROUTED)
+    # A one-trial estimate first, so numpy's one-off set-up stays out of the peak.
+    simulate_routed(long_term, design, tau, McConfig(4242, 1, McMode.WINDOW_ROUTED))
+    tracemalloc.start()
+    try:
+        est = simulate_routed(long_term, design, tau, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.mean > 0.0
+    assert peak < 4 * 2**20

@@ -70,6 +70,7 @@ def test_resources_config_b():
     dict(xi=1),
     dict(epsilon=0.0),
     dict(epsilon=1.0),
+    dict(ell_km=1e308, n=2),    # total length big_n * n * ell_km overflows
 ])
 def test_design_validation(kwargs):
     base = dict(config=Config.A, ell_km=20.0, n=1, big_n=1)

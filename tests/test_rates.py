@@ -256,6 +256,12 @@ def test_cutoff_epsilon_limit(near, long_term):
         assert not clamped
 
 
+def test_cutoff_subnormal_epsilon_saturates_storage(long_term):
+    # 1 - (1 - epsilon) ** (1 / N) rounds to 0: no finite window meets the budget.
+    design = _design(long_term, n=2, big_n=2, epsilon=5e-324)
+    assert routed_cutoff_time(long_term, design) == (long_term.t_nv, True)
+
+
 def test_impossible_segment_saturates_storage(near):
     dead = dataclasses.replace(near, eta_bsm=0.0)
     design = _design(near)
