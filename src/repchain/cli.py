@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,7 +29,7 @@ from .experiments import (
     run_study,
 )
 from .fidelity import InternalCheckError
-from .montecarlo import SCENARIO_MODES, McConfig, McMode, simulate_scenario, window_reference
+from .montecarlo import WINDOW_SCENARIOS, McConfig, McMode, simulate_scenario, window_reference
 from .network import Config, NetworkDesign, max_link_length
 from .params import Era, ParameterProfile, builtin_profile, load_profile
 from .rates import Scenario, routed_cutoff_time, scenario_rate, window_law
@@ -41,6 +42,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse reads only -digits and -digits.digits as negative numbers; take
+        # exponent and word forms such as -1e308 and -inf as values too.
+        self._negative_number_matcher = re.compile(
+            r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)\Z", re.IGNORECASE)
+
     # argparse exits 2 on usage errors; the contract reserves 2 for validation.
     def error(self, message: str) -> None:
         raise _UsageError(f"{self.prog}: {message}")
@@ -156,9 +164,6 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
     return 0
 
 
-_MODE_SCENARIOS = {mode: scenario for scenario, mode in SCENARIO_MODES.items()}
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     era, profile = _resolve_profile(args.profile)
     mode = McMode(args.mode)
@@ -170,9 +175,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     elif mode in (McMode.MICRO_SEGMENT, McMode.WINDOW_NV):
         design = replace(design, big_n=1)
     tau = clamped = rate_ref = None
-    if mode not in (McMode.MICRO_LINK, McMode.MICRO_SEGMENT):
+    if mode in WINDOW_SCENARIOS:
         # The window rows carry the closed form with the simulator's floored attempts.
-        law = window_law(_MODE_SCENARIOS[mode], profile, design)
+        law = window_law(WINDOW_SCENARIOS[mode], profile, design)
         tau, clamped = law.cutoff(design.epsilon) if tau_s is None else (tau_s, None)
         rate_ref = window_reference(law, tau)
     est = simulate_scenario(profile, design, tau, cfg)

@@ -10,13 +10,10 @@ Attempt counts are floored to integers here (attempts are physical events);
 the closed forms keep real exponents. Comparisons between the two must use
 the floored closed form.
 
-Window modes sample each station's within-window success one of two ways,
-chosen deterministically from the per-window draw budget: attempt-by-attempt
-Bernoulli draws when stations * attempts <= 512, otherwise inversion of the
-time-to-first-success geometric law. The two are identical in distribution.
-The attempt-by-attempt block of a chunk is drawn in slices of BLOCK_TRIALS
-trials, which continue one stream and so draw the numbers of the whole block;
-a chunk holds at most 1 MiB of draws at a time.
+Window modes draw one herald count per station and trial, Binomial(k, p_attempt)
+or, for the mode-level spin-photon chain, Binomial(k * gamma_t, p_mode), and a
+station succeeds when its count is at least 1. A window that no draw can change
+(k = 0, or p_attempt 0 or 1) is tallied exactly, and seeds and loads nothing.
 """
 
 from __future__ import annotations
@@ -49,6 +46,7 @@ __all__ = [
     "McEstimate",
     "McMode",
     "SCENARIO_MODES",
+    "WINDOW_SCENARIOS",
     "floored_attempts",
     "floored_window_rate",
     "simulate_link",
@@ -61,10 +59,10 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 4096
+# The window kernel no longer branches on this draw budget; it only splits the
+# bench's window spans into `per-attempt` (stations * k at most this) and `geometric`.
 PER_ATTEMPT_DRAW_LIMIT = 512
-# Trials per slice of a per-attempt block: at most 1 MiB of float64 uniforms
-# at PER_ATTEMPT_DRAW_LIMIT draws per trial.
-BLOCK_TRIALS = 256
+MAX_WORKERS = 256
 
 MAX_SEED = 2**64 - 1
 
@@ -78,12 +76,13 @@ class McMode(enum.Enum):
 
 
 # Frozen per-mode stream salts; changing one re-keys every estimate of that mode.
+# Salts 3-5 keyed the retired per-attempt and geometric window draws; never reuse them.
 _MODE_SALTS = {
     McMode.MICRO_LINK: 1,
     McMode.MICRO_SEGMENT: 2,
-    McMode.WINDOW_ROUTED: 3,
-    McMode.WINDOW_NV: 4,
-    McMode.WINDOW_NO_BUFFER: 5,
+    McMode.WINDOW_ROUTED: 6,
+    McMode.WINDOW_NV: 7,
+    McMode.WINDOW_NO_BUFFER: 8,
 }
 
 # The simulator that checks each closed-form scenario.
@@ -92,6 +91,10 @@ SCENARIO_MODES = {
     Scenario.NV_CHAIN: McMode.WINDOW_NV,
     Scenario.ROUTED: McMode.WINDOW_ROUTED,
     Scenario.ROUTED_NO_BUFFER: McMode.WINDOW_NO_BUFFER,
+}
+# The scenario whose window law each window mode samples.
+WINDOW_SCENARIOS = {
+    mode: scenario for scenario, mode in SCENARIO_MODES.items() if scenario is not Scenario.SEGMENT
 }
 
 
@@ -111,8 +114,8 @@ class McConfig:
             raise ValueError(f"master_seed = {self.master_seed!r} outside [0, 2^64)")
         if self.trials < 1:
             raise ValueError(f"trials = {self.trials!r} must be >= 1")
-        if self.workers < 1:
-            raise ValueError(f"workers = {self.workers!r} must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers = {self.workers!r} must be in [1, {MAX_WORKERS}]")
 
 
 @dataclass(frozen=True)
@@ -132,18 +135,19 @@ def _chunk_rng(master_seed: int, salt: int, index: int) -> np.random.Generator:
 
 def _run_chunks(cfg: McConfig, chunk_fn: Callable[[np.random.Generator, int], int]) -> int:
     salt = _MODE_SALTS[cfg.mode]
-    n_chunks = (cfg.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
+    chunks = range((cfg.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS)
 
     def run_chunk(index: int) -> int:
         count = min(CHUNK_TRIALS, cfg.trials - index * CHUNK_TRIALS)
         return chunk_fn(_chunk_rng(cfg.master_seed, salt, index), count)
 
-    if cfg.workers == 1:
-        return sum(run_chunk(i) for i in range(n_chunks))
+    threads = min(cfg.workers, len(chunks))
+    if threads == 1:
+        return sum(map(run_chunk, chunks))
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return sum(pool.map(run_chunk, range(n_chunks)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return sum(pool.map(run_chunk, chunks))
 
 
 def _estimate(successes: int, cfg: McConfig, scale: float) -> McEstimate:
@@ -235,57 +239,49 @@ def simulate_segment(profile: ParameterProfile, design: NetworkDesign, cfg: McCo
     return _estimate(_run_chunks(cfg, chunk), cfg, scale=1.0)
 
 
+def _window_outcome(law: WindowLaw, tau_s: float) -> tuple[int, bool | None]:
+    """(k, fixed): the law's attempts per station, floored, and every window's
+    outcome when no draw can change it (no attempt fits or p_attempt is 0 or 1), else None.
+    """
+    k = floored_attempts(law.omega, law.usable_s(tau_s))
+    if k <= 0 or law.p_attempt <= 0.0:
+        return k, False
+    if law.p_attempt >= 1.0:
+        return k, True
+    return k, None
+
+
 def _simulate_window(
     law: WindowLaw,
     tau_s: float,
     cfg: McConfig,
-    micro_draw: Callable[[np.random.Generator, tuple[int, ...]], np.ndarray] | None = None,
+    modes: int = 1,
+    p_mode: float | None = None,
 ) -> McEstimate:
     """Estimate a window rate: windows where every station succeeds within k attempts.
 
-    k is the law's attempt count floored. Per-attempt path draw order: one
-    (count, stations, k) block (uniforms, or micro_draw for mode-level
-    sampling), drawn as consecutive slices of BLOCK_TRIALS trials. numpy fills
-    each slice in C order and carries the stream from one call to the next, so
-    the slices hold exactly the numbers of the one-shot block. Geometric path:
-    one (count, stations) uniform block.
+    Each of a station's k attempts tries `modes` modes that herald with p_mode
+    (one mode with law.p_attempt by default). Draw order per chunk: one
+    (count, stations) block of Binomial(k * modes, p) herald counts. A window
+    with a fixed outcome is tallied exactly, without seeding or drawing.
     """
-    k = floored_attempts(law.omega, law.usable_s(tau_s))
-    p_attempt = law.p_attempt
-    stations = law.stations
+    k, fixed = _window_outcome(law, tau_s)
+    if fixed is not None:
+        return _estimate(cfg.trials if fixed else 0, cfg, scale=1.0 / tau_s)
+    p = law.p_attempt if p_mode is None else p_mode
 
     def chunk(rng: np.random.Generator, count: int) -> int:
         import numpy as np
 
-        if k <= 0 or p_attempt <= 0.0:
-            return 0
-        if p_attempt >= 1.0:
-            return count
-        if stations * k <= PER_ATTEMPT_DRAW_LIMIT:
-            if micro_draw is None:
-                u = np.empty((min(count, BLOCK_TRIALS), stations, k))
-            windows = 0
-            for start in range(0, count, BLOCK_TRIALS):
-                rows = min(BLOCK_TRIALS, count - start)
-                if micro_draw is not None:
-                    station_ok = micro_draw(rng, (rows, stations, k)).any(axis=2)
-                else:
-                    # A station succeeds when any uniform, so its smallest, is < p_attempt.
-                    station_ok = rng.random(out=u[:rows]).min(axis=2) < p_attempt
-                windows += int(np.count_nonzero(station_ok.all(axis=1)))
-            return windows
-        u = rng.random((count, stations))
-        with np.errstate(divide="ignore"):
-            first_success = np.floor(np.log(u) / math.log1p(-p_attempt)) + 1.0
-        return int(np.count_nonzero((first_success <= k).all(axis=1)))
+        heralds = rng.binomial(k * modes, p, size=(count, law.stations))
+        return int(np.count_nonzero(heralds.all(axis=1)))
 
     return _estimate(_run_chunks(cfg, chunk), cfg, scale=1.0 / tau_s)
 
 
 def window_reference(law: WindowLaw, tau_s: float) -> float:
     """floored_window_rate of a window law: the comparison target of _simulate_window."""
-    k = floored_attempts(law.omega, law.usable_s(tau_s))
-    return floored_window_rate(law.p_attempt, k, law.stations, tau_s)
+    return floored_window_rate(law.p_attempt, _window_outcome(law, tau_s)[0], law.stations, tau_s)
 
 
 def simulate_routed(
@@ -307,17 +303,12 @@ def simulate_nv_chain(
 ) -> McEstimate:
     """Estimate the spin-photon chain rate over fixed windows of tau_s.
 
-    Attempts are sampled at the temporal-mode level: each attempt draws a
-    binomial over gamma_t modes and succeeds when any mode heralds.
+    Attempts are sampled at the temporal-mode level: a station's heralds in k
+    attempts of gamma_t modes each are one Binomial(k * gamma_t, p_mode) count.
     """
     _require_mode(cfg, McMode.WINDOW_NV)
-    p_mode = nv_mode_prob(profile, design.ell_km)
-    gamma_t = profile.gamma_t
-
-    def micro_draw(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-        return rng.binomial(gamma_t, p_mode, size=shape) >= 1
-
-    return _simulate_window(window_law(Scenario.NV_CHAIN, profile, design), tau_s, cfg, micro_draw)
+    return _simulate_window(window_law(Scenario.NV_CHAIN, profile, design), tau_s, cfg,
+                            profile.gamma_t, nv_mode_prob(profile, design.ell_km))
 
 
 def simulate_no_buffer(
@@ -342,13 +333,15 @@ def simulate_scenario(
     cfg: McConfig,
 ) -> McEstimate:
     """One estimate for cfg.mode; micro modes ignore tau_s, micro-link reads only ell_km."""
-    # Load numpy, and the thread pool when one is used, here before dispatch, so
-    # that the first estimate of a process does not book the imports as time
-    # spent in its simulator.
-    import numpy  # noqa: F401
+    # Load numpy.random, and the thread pool when one is used, before dispatch, so
+    # that the first estimate of a process does not book the imports as time spent
+    # in its simulator. A window with a fixed outcome draws nothing and loads neither.
+    scenario = WINDOW_SCENARIOS.get(cfg.mode)
+    if scenario is None or _window_outcome(window_law(scenario, profile, design), tau_s)[1] is None:
+        import numpy.random  # noqa: F401
 
-    if cfg.workers > 1:
-        import concurrent.futures  # noqa: F401
+        if cfg.workers > 1:
+            import concurrent.futures  # noqa: F401
 
     if cfg.mode is McMode.MICRO_LINK:
         return simulate_link(profile, design.ell_km, cfg)

@@ -228,6 +228,10 @@ VALIDATION_ERRORS = [
     (["rate", "--scenario", "routed", "--profile", "near", "--ell-km", "1e308", "--n", "2"],
      "ell_km"),
     (["fidelity", "--profile", "near", "--ell-km", "1e308", "--big-n", "2"], "ell_km"),
+    # A worker count above montecarlo.MAX_WORKERS fails validation before any thread starts.
+    (["simulate", "--mode", "micro-link", "--workers", "1000000"], "workers"),
+    (["sweep", "--scenario", "routed", "--axis", "n", "--start", "1", "--stop", "2",
+      "--step", "1", "--with-mc", "--workers", "1000000"], "workers"),
 ]
 
 
@@ -281,8 +285,9 @@ def _extreme_calls(draw):
     flag = draw(st.sampled_from(flags))
     if command == "sweep":
         argv += [f"{name}={value}" for name, value in _SPAN.items() if name != flag]
-    # The = form keeps argparse from reading a value such as -1e308 as an option.
-    argv.append(f"{flag}={draw(_EXTREME_FLOATS)!r}")
+    # Both spellings: `--flag -1e308` must not be read as two options.
+    value = repr(draw(_EXTREME_FLOATS))
+    argv += draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
     return argv, fields | {_FLAG_FIELDS[flag]}
 
 
@@ -293,6 +298,11 @@ def _extreme_calls(draw):
                 "--n", "2"], {"ell_km"}))
 @example(call=(["fidelity", "--profile", "near", "--ell-km", "1e308", "--big-n", "2"],
                {"ell_km"}))
+# Negative floats in exponent and word form, space-separated from their flag.
+@example(call=(["rate", "--scenario", "routed", "--ell-km", "-1e308"], {"ell_km"}))
+@example(call=(["rate", "--scenario", "routed", "--tau-s", "-inf"], {"--tau-s"}))
+@example(call=(["sweep", "--scenario", "routed", "--axis", "n", "--start", "-5e-324",
+                "--stop", "3", "--step", "1"], {"start"}))
 def test_extreme_floats_exit_2_naming_the_field_or_give_finite_rows(capsys, call):
     # No --with-mc and no --workers: no estimate runs and no thread starts.
     argv, fields = call
@@ -461,11 +471,11 @@ print(json.dumps({"codes": codes, "loaded": heavy}))
 """
 
 
-def _fresh_cli(argvs):
+def _fresh_cli(argvs, script=_FRESH_CLI):
     src = str(Path(repchain.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_CLI, json.dumps(argvs)],
+        [sys.executable, "-c", script, json.dumps(argvs)],
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
     )
     return json.loads(proc.stdout)
@@ -493,3 +503,40 @@ def test_monte_carlo_loads_numpy_on_first_draw(tmp_path):
     assert out.read_text(encoding="utf-8") == (
         HEADER + "\nmicro-link,near,A,1,,20.0,20.0,,,,,,0.078125,0.0041932529387982585,0\n"
     )
+
+
+def test_window_that_draws_nothing_loads_no_numpy(tmp_path):
+    # No whole attempt fits a near-era nv-chain window, so the estimate is an
+    # exact 0: it loads neither numpy nor the thread pool, even with --workers 2.
+    out = tmp_path / "k0.csv"
+    result = _fresh_cli([["simulate", "--mode", "window-nv", "--profile", "near",
+                          "--workers", "2", "--out", str(out)]])
+    assert result == {"codes": [0], "loaded": []}
+    assert out.read_text(encoding="utf-8") == (
+        HEADER + "\nwindow-nv,near,,1,,20.0,20.0,0.00159175899479592,false,0.0,,,0.0,0.0,0\n"
+    )
+
+
+# As _FRESH_CLI, but reports the heavy modules already loaded when the window
+# simulator is entered, where the benchmark's draw span opens.
+_FRESH_CLI_AT_SIMULATOR = """
+import json, sys
+from repchain import montecarlo
+from repchain.cli import main
+simulate_routed = montecarlo.simulate_routed
+seen = []
+def spy(*args):
+    seen.append([name for name in ("numpy.random", "concurrent.futures") if name in sys.modules])
+    return simulate_routed(*args)
+montecarlo.simulate_routed = spy
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "loaded": seen}))
+"""
+
+
+def test_estimate_that_draws_loads_numpy_random_before_its_simulator(tmp_path):
+    # Two chunks on two workers: the pool runs, and both imports come first.
+    result = _fresh_cli([["simulate", "--mode", "window-routed", "--profile", "long",
+                          "--trials", "8192", "--workers", "2",
+                          "--out", str(tmp_path / "mc.csv")]], _FRESH_CLI_AT_SIMULATOR)
+    assert result == {"codes": [0], "loaded": [["numpy.random", "concurrent.futures"]]}

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import tracemalloc
@@ -25,12 +26,16 @@ from repchain import (
     simulate_segment,
     timings,
 )
+from repchain import montecarlo
 from repchain.montecarlo import (
     _MODE_SALTS,
     CHUNK_TRIALS,
     MAX_SEED,
+    MAX_WORKERS,
     PER_ATTEMPT_DRAW_LIMIT,
+    McEstimate,
     _chunk_rng,
+    _run_chunks,
     _simulate_window,
 )
 from repchain.rates import WindowLaw
@@ -54,6 +59,11 @@ def test_mcconfig_validation():
         McConfig(MAX_SEED + 1, 10, McMode.MICRO_LINK)
     with pytest.raises(ValueError):
         McConfig(0, 10, McMode.MICRO_LINK, workers=0)
+    # A fixed ceiling on threads, checked by validation alone: no config here runs.
+    McConfig(0, 10, McMode.MICRO_LINK, workers=MAX_WORKERS)
+    for workers in (MAX_WORKERS + 1, 10**6):
+        with pytest.raises(ValueError, match="workers"):
+            McConfig(0, 10, McMode.MICRO_LINK, workers=workers)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -222,14 +232,17 @@ def test_window_no_buffer_matches_floored_closed_form(near):
 
 @pytest.mark.parametrize("k_target", [512, 513])
 def test_draw_paths_agree_at_budget_boundary(long_term, k_target):
-    # stations * k crosses PER_ATTEMPT_DRAW_LIMIT between these two points,
-    # switching from per-attempt sampling to geometric inversion
+    # stations * k = 512 and 513 straddle PER_ATTEMPT_DRAW_LIMIT, where the
+    # window kernel once switched from per-attempt sampling to geometric
+    # inversion; the binomial-count kernel must meet the floored reference on
+    # both sides.
     design = _design(LONG_ELL, 2, 1)
     t = timings(design, long_term)
     omega = attempt_rate(long_term)
     tau = t.t_trans + (k_target + 0.5) / omega
     k = floored_attempts(omega, tau - t.t_trans)
     assert k == k_target
+    assert (design.big_n * k <= PER_ATTEMPT_DRAW_LIMIT) is (k_target == 512)
     ref = floored_window_rate(
         segment_success_prob(long_term, design), k, design.big_n, tau)
     est = simulate_routed(long_term, design, tau,
@@ -237,55 +250,126 @@ def test_draw_paths_agree_at_budget_boundary(long_term, k_target):
     assert abs(est.mean - ref) <= 3.0 * est.std_error
 
 
-def _uniform_hits(p_attempt):
-    return lambda rng, shape: rng.random(shape) < p_attempt
+def _count_law(stations, p_attempt):
+    """A window law whose floored attempt count is the window length in seconds."""
+    return WindowLaw(omega=1.0, p_attempt=p_attempt, stations=stations, usable_fraction=1.0,
+                     floor_s=0.0, t_max=1e9)
 
 
-def _binomial_hits(gamma, p_mode, threshold):
-    # A count threshold above 1 keeps the tally away from 0 and from every
-    # trial, so it depends on each binomial drawn.
-    return lambda rng, shape: rng.binomial(gamma, p_mode, size=shape) >= threshold
-
-
-@pytest.mark.parametrize("micro, hits", [
-    (False, _uniform_hits(0.01)),
-    # gamma * p below and above 30: numpy's inversion and BTPE binomial samplers.
-    (True, _binomial_hits(50, 0.01, 3)),
-    (True, _binomial_hits(1000, 0.05, 65)),
-], ids=["uniform", "binomial-inversion", "binomial-btpe"])
-def test_window_slices_draw_the_one_block_stream(micro, hits):
-    # 5000 trials make chunks of 4096 and 904 trials, neither a whole number
-    # of slices; stations * k = 4 * 128 is the full per-attempt budget.
-    stations, k, trials = 4, 128, 5000
-    assert stations * k == PER_ATTEMPT_DRAW_LIMIT
-    law = WindowLaw(omega=1.0, p_attempt=0.01, stations=stations, usable_fraction=1.0,
-                    floor_s=0.0, t_max=1e9)
-    cfg = McConfig(2024, trials, McMode.WINDOW_NV if micro else McMode.WINDOW_ROUTED)
+@pytest.mark.parametrize("mode, modes, p", [
+    (McMode.WINDOW_ROUTED, 1, 0.01),
+    # Mode-level draws: Binomial(k * gamma_t, p_mode) with k * gamma_t * p_mode
+    # = 1.28, on numpy's inversion sampler.
+    (McMode.WINDOW_NV, 5, 0.002),
+    # p above 1/2: numpy samples the failures and returns k * modes minus them.
+    (McMode.WINDOW_NO_BUFFER, 1, 0.9),
+], ids=["uniform", "nv", "uniform-high-p"])
+def test_window_counts_draw_the_one_block_stream(mode, modes, p):
+    # 5000 trials make chunks of 4096 and 904 trials; each chunk's tally must
+    # be the one (count, stations) binomial block drawn from its own stream.
+    stations, k, trials = 4, (1 if p > 0.5 else 128), 5000
+    law = _count_law(stations, 1.0 - (1.0 - p) ** modes)
+    cfg = McConfig(2024, trials, mode)
     windows = 0
-    for index in range(2):
-        count = min(CHUNK_TRIALS, trials - index * CHUNK_TRIALS)
-        block = hits(_chunk_rng(cfg.master_seed, _MODE_SALTS[cfg.mode], index),
-                     (count, stations, k))
-        windows += int(np.count_nonzero(block.any(axis=2).all(axis=1)))
-    assert 0 < windows < trials
-    est = _simulate_window(law, float(k), cfg, hits if micro else None)
+    for index, count in enumerate((CHUNK_TRIALS, trials - CHUNK_TRIALS)):
+        rng = _chunk_rng(cfg.master_seed, _MODE_SALTS[mode], index)
+        heralds = rng.binomial(k * modes, p, size=(count, stations))
+        windows += int(np.count_nonzero((heralds >= 1).all(axis=1)))
+    assert 0.05 * trials < windows < 0.95 * trials
+    est = _simulate_window(law, float(k), cfg, modes, None if modes == 1 else p)
     assert est.mean == windows / trials * (1.0 / k)
 
 
-def test_per_attempt_window_memory_stays_bounded(long_term):
-    # One chunk at the full per-attempt budget: a one-shot (4096, 1, 512)
-    # float64 block would take 16 MiB.
-    design = _design(LONG_ELL, 2, 1)
-    omega = attempt_rate(long_term)
-    tau = timings(design, long_term).t_trans + (PER_ATTEMPT_DRAW_LIMIT + 0.5) / omega
+@pytest.mark.parametrize("k", [PER_ATTEMPT_DRAW_LIMIT // 4, 10**6])
+def test_window_chunk_memory_stays_bounded(k):
+    # One 4096-trial chunk holds one (4096, stations) block of int64 counts,
+    # 128 KiB here, whatever k is. The retired per-attempt path drew 4 * 128
+    # uniforms per trial: 18 MiB for the chunk in one block, 1 MiB in slices.
+    law = _count_law(4, 0.01)
     cfg = McConfig(4242, CHUNK_TRIALS, McMode.WINDOW_ROUTED)
     # A one-trial estimate first, so numpy's one-off set-up stays out of the peak.
-    simulate_routed(long_term, design, tau, McConfig(4242, 1, McMode.WINDOW_ROUTED))
+    _simulate_window(law, float(k), McConfig(4242, 1, McMode.WINDOW_ROUTED))
     tracemalloc.start()
     try:
-        est = simulate_routed(long_term, design, tau, cfg)
+        est = _simulate_window(law, float(k), cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert est.mean > 0.0
-    assert peak < 4 * 2**20
+    assert peak < 256 * 2**10
+
+
+def _literal_windows(rng, trials, stations, k, modes, p_mode):
+    """Windows won, simulated attempt by attempt: each of a station's k attempts
+    tries `modes` modes, each of which heralds in its own Bernoulli draw."""
+    heralded = rng.random((trials, stations, k, modes)) < p_mode
+    return int(np.count_nonzero(heralded.any(axis=(2, 3)).all(axis=1)))
+
+
+@pytest.mark.parametrize("mode, modes, p_mode", [
+    (McMode.WINDOW_ROUTED, 1, 0.1),
+    (McMode.WINDOW_NV, 4, 0.03),
+], ids=["uniform", "nv"])
+def test_window_kernel_matches_literal_attempts(mode, modes, p_mode):
+    # An independent check of the physics: the binomial counts (numpy's
+    # binomial sampler on Philox) against literal Bernoulli attempts (uniforms
+    # on PCG64), without the closed form's log1p law. Two-sample z-scores
+    # over k = 1..8; their squares sum to a chi-square with 8 degrees of
+    # freedom, whose upper 1e-4 quantile is 33.72.
+    stations, trials = 2, 20000
+    law = _count_law(stations, 1.0 - (1.0 - p_mode) ** modes)
+    literal_rng = np.random.default_rng(77)
+    chi2 = 0.0
+    for k in range(1, 9):
+        est = _simulate_window(law, float(k), McConfig(k, trials, mode), modes,
+                               None if modes == 1 else p_mode)
+        kernel_p = est.mean * k
+        literal_p = _literal_windows(literal_rng, trials, stations, k, modes, p_mode) / trials
+        pooled = (kernel_p + literal_p) / 2.0
+        z = (kernel_p - literal_p) / math.sqrt(pooled * (1.0 - pooled) * 2.0 / trials)
+        assert abs(z) < 4.0, (k, kernel_p, literal_p)
+        chi2 += z * z
+    assert chi2 < 33.72
+
+
+@pytest.mark.parametrize("p_attempt, tau, windows", [
+    (0.5, 0.5, 0),      # no whole attempt fits
+    (0.0, 8.0, 0),
+    (1.0, 8.0, 5000),
+])
+def test_fixed_outcome_windows_seed_nothing(monkeypatch, p_attempt, tau, windows):
+    def no_stream(*args):
+        raise AssertionError("a window with a fixed outcome seeded a stream")
+
+    monkeypatch.setattr(montecarlo, "_chunk_rng", no_stream)
+    est = _simulate_window(_count_law(3, p_attempt), tau,
+                           McConfig(1, 5000, McMode.WINDOW_ROUTED, workers=4))
+    assert est == McEstimate(windows / 5000 / tau, 0.0, 5000, 1)
+
+
+@pytest.mark.parametrize("trials, workers, pool_size", [
+    (3 * CHUNK_TRIALS, MAX_WORKERS, 3),
+    (3 * CHUNK_TRIALS, 2, 2),
+    (CHUNK_TRIALS, MAX_WORKERS, None),      # one chunk runs inline, no pool
+])
+def test_run_chunks_starts_no_more_threads_than_chunks(monkeypatch, trials, workers, pool_size):
+    # A stand-in pool records its size and maps inline, so no thread starts.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    cfg = McConfig(3, trials, McMode.MICRO_LINK, workers=workers)
+    assert _run_chunks(cfg, lambda rng, count: count) == trials
+    assert sizes == ([] if pool_size is None else [pool_size])
