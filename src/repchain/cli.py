@@ -29,7 +29,7 @@ from .experiments import (
     run_study,
 )
 from .fidelity import InternalCheckError
-from .montecarlo import WINDOW_SCENARIOS, McConfig, McMode, simulate_scenario, window_reference
+from .montecarlo import SCENARIO_MODES, McConfig, McMode, simulate_scenario, window_reference
 from .network import Config, NetworkDesign, max_link_length
 from .params import Era, ParameterProfile, builtin_profile, load_profile
 from .rates import Scenario, routed_cutoff_time, scenario_rate, window_law
@@ -164,6 +164,9 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
     return 0
 
 
+_MODE_SCENARIOS = {mode: scenario for scenario, mode in SCENARIO_MODES.items()}
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     era, profile = _resolve_profile(args.profile)
     mode = McMode(args.mode)
@@ -175,9 +178,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     elif mode in (McMode.MICRO_SEGMENT, McMode.WINDOW_NV):
         design = replace(design, big_n=1)
     tau = clamped = rate_ref = None
-    if mode in WINDOW_SCENARIOS:
+    if mode not in (McMode.MICRO_LINK, McMode.MICRO_SEGMENT):
         # The window rows carry the closed form with the simulator's floored attempts.
-        law = window_law(WINDOW_SCENARIOS[mode], profile, design)
+        law = window_law(_MODE_SCENARIOS[mode], profile, design)
         tau, clamped = law.cutoff(design.epsilon) if tau_s is None else (tau_s, None)
         rate_ref = window_reference(law, tau)
     est = simulate_scenario(profile, design, tau, cfg)

@@ -13,13 +13,16 @@ the floored closed form.
 Window modes draw one herald count per station and trial, Binomial(k, p_attempt)
 or, for the mode-level spin-photon chain, Binomial(k * gamma_t, p_mode), and a
 station succeeds when its count is at least 1. A window that no draw can change
-(k = 0, or p_attempt 0 or 1) is tallied exactly, and seeds and loads nothing.
+(k = 0, p_attempt 0 or 1, or k * p_attempt so large that a station fails with
+probability below the smallest positive double) is tallied exactly, and seeds
+and loads nothing.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -35,9 +38,9 @@ from .rates import (
     window_success_prob,
 )
 
-# numpy and the thread pool are imported by the draw kernels and
-# simulate_scenario at first use, so the closed-form commands, which never
-# draw, start without loading either.
+# numpy and the thread pool are imported by _run_chunks at first use, so the
+# closed-form commands and the fixed-outcome windows, which never draw, start
+# without loading either.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -46,7 +49,6 @@ __all__ = [
     "McEstimate",
     "McMode",
     "SCENARIO_MODES",
-    "WINDOW_SCENARIOS",
     "floored_attempts",
     "floored_window_rate",
     "simulate_link",
@@ -62,7 +64,8 @@ CHUNK_TRIALS = 4096
 # The window kernel no longer branches on this draw budget; it only splits the
 # bench's window spans into `per-attempt` (stations * k at most this) and `geometric`.
 PER_ATTEMPT_DRAW_LIMIT = 512
-MAX_WORKERS = 256
+# Never below the host's CPU count, so workers = nproc is always accepted.
+MAX_WORKERS = max(256, os.cpu_count() or 1)
 
 MAX_SEED = 2**64 - 1
 
@@ -91,10 +94,6 @@ SCENARIO_MODES = {
     Scenario.NV_CHAIN: McMode.WINDOW_NV,
     Scenario.ROUTED: McMode.WINDOW_ROUTED,
     Scenario.ROUTED_NO_BUFFER: McMode.WINDOW_NO_BUFFER,
-}
-# The scenario whose window law each window mode samples.
-WINDOW_SCENARIOS = {
-    mode: scenario for scenario, mode in SCENARIO_MODES.items() if scenario is not Scenario.SEGMENT
 }
 
 
@@ -134,6 +133,9 @@ def _chunk_rng(master_seed: int, salt: int, index: int) -> np.random.Generator:
 
 
 def _run_chunks(cfg: McConfig, chunk_fn: Callable[[np.random.Generator, int], int]) -> int:
+    # Only estimates that draw get here; load the lazy numpy.random before any worker starts.
+    import numpy.random  # noqa: F401
+
     salt = _MODE_SALTS[cfg.mode]
     chunks = range((cfg.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS)
 
@@ -150,12 +152,13 @@ def _run_chunks(cfg: McConfig, chunk_fn: Callable[[np.random.Generator, int], in
         return sum(pool.map(run_chunk, chunks))
 
 
-def _estimate(successes: int, cfg: McConfig, scale: float) -> McEstimate:
+def _estimate(successes: int, cfg: McConfig, tau_s: float = 1.0) -> McEstimate:
+    """Success probability, or a rate over windows of tau_s (0 / subnormal tau_s is 0)."""
     p_hat = successes / cfg.trials
     std = math.sqrt(p_hat * (1.0 - p_hat) / cfg.trials)
     return McEstimate(
-        mean=p_hat * scale,
-        std_error=std * scale,
+        mean=p_hat / tau_s,
+        std_error=std / tau_s,
         trials=cfg.trials,
         seed=cfg.master_seed,
     )
@@ -206,7 +209,7 @@ def simulate_link(profile: ParameterProfile, ell_km: float, cfg: McConfig) -> Mc
 
         return int(np.count_nonzero(_link_draw(rng, count, gamma_f, p_mode, retrieval)))
 
-    return _estimate(_run_chunks(cfg, chunk), cfg, scale=1.0)
+    return _estimate(_run_chunks(cfg, chunk), cfg)
 
 
 def simulate_segment(profile: ParameterProfile, design: NetworkDesign, cfg: McConfig) -> McEstimate:
@@ -236,17 +239,21 @@ def simulate_segment(profile: ParameterProfile, design: NetworkDesign, cfg: McCo
         ok &= rng.random(count) < transfer
         return int(np.count_nonzero(ok))
 
-    return _estimate(_run_chunks(cfg, chunk), cfg, scale=1.0)
+    return _estimate(_run_chunks(cfg, chunk), cfg)
 
 
 def _window_outcome(law: WindowLaw, tau_s: float) -> tuple[int, bool | None]:
-    """(k, fixed): the law's attempts per station, floored, and every window's
-    outcome when no draw can change it (no attempt fits or p_attempt is 0 or 1), else None.
+    """(k, fixed): floored attempts per station, and every window's outcome when no
+    draw can change it, else None. False: k = 0 or p_attempt 0. True: p_attempt 1, or
+    k * p_attempt >= 745, so a station fails with probability under e^-745 (0.0 in double).
     """
-    k = floored_attempts(law.omega, law.usable_s(tau_s))
+    usable_s = law.usable_s(tau_s)
+    if math.isinf(law.omega * usable_s):
+        raise ValueError(f"tau_s = {tau_s!r} holds more attempts than a float can count")
+    k = floored_attempts(law.omega, usable_s)
     if k <= 0 or law.p_attempt <= 0.0:
         return k, False
-    if law.p_attempt >= 1.0:
+    if law.p_attempt >= 1.0 or k * law.p_attempt >= 745.0:
         return k, True
     return k, None
 
@@ -267,7 +274,9 @@ def _simulate_window(
     """
     k, fixed = _window_outcome(law, tau_s)
     if fixed is not None:
-        return _estimate(cfg.trials if fixed else 0, cfg, scale=1.0 / tau_s)
+        return _estimate(cfg.trials if fixed else 0, cfg, tau_s)
+    if k * modes >= 2**63:    # numpy's binomial count is an int64
+        raise ValueError(f"tau_s = {tau_s!r} gives over 2^63 - 1 herald trials per station")
     p = law.p_attempt if p_mode is None else p_mode
 
     def chunk(rng: np.random.Generator, count: int) -> int:
@@ -276,7 +285,7 @@ def _simulate_window(
         heralds = rng.binomial(k * modes, p, size=(count, law.stations))
         return int(np.count_nonzero(heralds.all(axis=1)))
 
-    return _estimate(_run_chunks(cfg, chunk), cfg, scale=1.0 / tau_s)
+    return _estimate(_run_chunks(cfg, chunk), cfg, tau_s)
 
 
 def window_reference(law: WindowLaw, tau_s: float) -> float:
@@ -333,16 +342,6 @@ def simulate_scenario(
     cfg: McConfig,
 ) -> McEstimate:
     """One estimate for cfg.mode; micro modes ignore tau_s, micro-link reads only ell_km."""
-    # Load numpy.random, and the thread pool when one is used, before dispatch, so
-    # that the first estimate of a process does not book the imports as time spent
-    # in its simulator. A window with a fixed outcome draws nothing and loads neither.
-    scenario = WINDOW_SCENARIOS.get(cfg.mode)
-    if scenario is None or _window_outcome(window_law(scenario, profile, design), tau_s)[1] is None:
-        import numpy.random  # noqa: F401
-
-        if cfg.workers > 1:
-            import concurrent.futures  # noqa: F401
-
     if cfg.mode is McMode.MICRO_LINK:
         return simulate_link(profile, design.ell_km, cfg)
     if cfg.mode is McMode.MICRO_SEGMENT:

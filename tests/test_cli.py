@@ -232,6 +232,10 @@ VALIDATION_ERRORS = [
     (["simulate", "--mode", "micro-link", "--workers", "1000000"], "workers"),
     (["sweep", "--scenario", "routed", "--axis", "n", "--start", "1", "--stop", "2",
       "--step", "1", "--with-mc", "--workers", "1000000"], "workers"),
+    # 1e20 attempts of p_attempt 4e-19 each: too many herald trials for one
+    # binomial draw, and too few expected heralds for a certain window.
+    (["simulate", "--mode", "window-routed", "--profile", "near", "--ell-km", "700",
+      "--tau-s", "1e13"], "tau_s"),
 ]
 
 
@@ -262,13 +266,17 @@ _NUMERIC_COLUMNS = {"n", "N", "ell_km", "total_km", "tau_s", "rate_hz", "fidelit
 
 @st.composite
 def _extreme_calls(draw):
-    """A rate, fidelity or sweep argv with one float flag set to an extreme value,
-    and the field names an error about that flag may give."""
-    command = draw(st.sampled_from(["rate", "fidelity", "sweep"]))
+    """A rate, fidelity, sweep or one-trial window simulate argv with one float
+    flag set to an extreme value, and the field names an error about that flag may give."""
+    command = draw(st.sampled_from(["rate", "fidelity", "sweep", "simulate"]))
     argv = [command]
     flags = ["--ell-km", "--epsilon"]
     fields = set()
-    if command != "fidelity":
+    if command == "simulate":
+        mode = draw(st.sampled_from(["window-routed", "window-nv", "window-nobuffer"]))
+        argv += ["--mode", mode, "--trials", "1"]
+        fields.add("tau_s")       # the window's herald trials may exceed one binomial draw
+    elif command != "fidelity":
         scenario = draw(st.sampled_from([s.value for s in Scenario]))
         argv += ["--scenario", scenario]
     if command == "sweep":
@@ -303,8 +311,13 @@ def _extreme_calls(draw):
 @example(call=(["rate", "--scenario", "routed", "--tau-s", "-inf"], {"--tau-s"}))
 @example(call=(["sweep", "--scenario", "routed", "--axis", "n", "--start", "-5e-324",
                 "--stop", "3", "--step", "1"], {"start"}))
+@example(call=(["simulate", "--mode", "window-routed", "--trials", "1", "--profile", "near",
+                "--tau-s", "1e308"], {"tau_s", "--tau-s"}))
+# No attempt fits a subnormal window: a rate of 0, not 0 * (1 / tau) = nan.
+@example(call=(["simulate", "--mode", "window-routed", "--trials", "1", "--profile", "near",
+                "--tau-s=4.605980807055523e-309"], {"tau_s", "--tau-s"}))
 def test_extreme_floats_exit_2_naming_the_field_or_give_finite_rows(capsys, call):
-    # No --with-mc and no --workers: no estimate runs and no thread starts.
+    # No --with-mc and no --workers: at most one one-trial estimate runs, in this thread.
     argv, fields = call
     code, out, err = run(capsys, argv)
     if code == 2:
@@ -517,26 +530,41 @@ def test_window_that_draws_nothing_loads_no_numpy(tmp_path):
     )
 
 
-# As _FRESH_CLI, but reports the heavy modules already loaded when the window
-# simulator is entered, where the benchmark's draw span opens.
-_FRESH_CLI_AT_SIMULATOR = """
-import json, sys
+def test_certain_window_loads_no_numpy(tmp_path):
+    # 1e19 attempts of p_attempt near 1e-3 each: every station heralds with
+    # certainty in double precision, so the estimate is exact and draws nothing.
+    out = tmp_path / "certain.csv"
+    result = _fresh_cli([["simulate", "--mode", "window-routed", "--profile", "near",
+                          "--tau-s", "1e12", "--workers", "2", "--out", str(out)]])
+    assert result == {"codes": [0], "loaded": []}
+    assert out.read_text(encoding="utf-8") == (
+        HEADER + "\nwindow-routed,near,A,1,1,20.0,20.0,1000000000000.0,,1e-12,,,1e-12,0.0,0\n"
+    )
+
+
+# As _FRESH_CLI, but reports, per chunk stream, whether it was seeded on the
+# main thread and which heavy modules were loaded by then.
+_FRESH_CLI_AT_CHUNK = """
+import json, sys, threading
 from repchain import montecarlo
 from repchain.cli import main
-simulate_routed = montecarlo.simulate_routed
+chunk_rng = montecarlo._chunk_rng
 seen = []
 def spy(*args):
-    seen.append([name for name in ("numpy.random", "concurrent.futures") if name in sys.modules])
-    return simulate_routed(*args)
-montecarlo.simulate_routed = spy
+    loaded = [name for name in ("numpy.random", "concurrent.futures") if name in sys.modules]
+    seen.append([threading.current_thread() is threading.main_thread(), loaded])
+    return chunk_rng(*args)
+montecarlo._chunk_rng = spy
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "loaded": seen}))
+print(json.dumps({"codes": codes, "chunks": seen}))
 """
 
 
-def test_estimate_that_draws_loads_numpy_random_before_its_simulator(tmp_path):
-    # Two chunks on two workers: the pool runs, and both imports come first.
+def test_estimate_that_draws_loads_numpy_random_before_its_first_chunk(tmp_path):
+    # Two chunks on two workers: both are seeded in pool threads, and both
+    # imports ran on the main thread before either chunk started.
     result = _fresh_cli([["simulate", "--mode", "window-routed", "--profile", "long",
                           "--trials", "8192", "--workers", "2",
-                          "--out", str(tmp_path / "mc.csv")]], _FRESH_CLI_AT_SIMULATOR)
-    assert result == {"codes": [0], "loaded": [["numpy.random", "concurrent.futures"]]}
+                          "--out", str(tmp_path / "mc.csv")]], _FRESH_CLI_AT_CHUNK)
+    assert result == {"codes": [0],
+                      "chunks": [[False, ["numpy.random", "concurrent.futures"]]] * 2}

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -60,6 +61,8 @@ def test_mcconfig_validation():
     with pytest.raises(ValueError):
         McConfig(0, 10, McMode.MICRO_LINK, workers=0)
     # A fixed ceiling on threads, checked by validation alone: no config here runs.
+    # It never rejects workers = the host's CPU count.
+    assert MAX_WORKERS >= (os.cpu_count() or 1)
     McConfig(0, 10, McMode.MICRO_LINK, workers=MAX_WORKERS)
     for workers in (MAX_WORKERS + 1, 10**6):
         with pytest.raises(ValueError, match="workers"):
@@ -336,6 +339,9 @@ def test_window_kernel_matches_literal_attempts(mode, modes, p_mode):
     (0.5, 0.5, 0),      # no whole attempt fits
     (0.0, 8.0, 0),
     (1.0, 8.0, 5000),
+    # k * p_attempt = 1000: a station fails with probability below e^-1000.
+    (0.5, 2000.0, 5000),
+    (1e-290, 2.0**1000, 5000),
 ])
 def test_fixed_outcome_windows_seed_nothing(monkeypatch, p_attempt, tau, windows):
     def no_stream(*args):
@@ -345,6 +351,47 @@ def test_fixed_outcome_windows_seed_nothing(monkeypatch, p_attempt, tau, windows
     est = _simulate_window(_count_law(3, p_attempt), tau,
                            McConfig(1, 5000, McMode.WINDOW_ROUTED, workers=4))
     assert est == McEstimate(windows / 5000 / tau, 0.0, 5000, 1)
+
+
+def test_window_below_the_certainty_bound_still_draws(monkeypatch):
+    # k * p_attempt = 744: a failure is astronomically rare but representable,
+    # so the kernel seeds its one chunk and draws; every count is at least 1.
+    seeded = []
+
+    def counting_rng(*args):
+        seeded.append(args)
+        return _chunk_rng(*args)
+
+    monkeypatch.setattr(montecarlo, "_chunk_rng", counting_rng)
+    law = _count_law(3, 0.5)
+    assert _simulate_window(law, 1488.0, McConfig(1, 100, McMode.WINDOW_ROUTED)) == (
+        McEstimate(1.0 / 1488.0, 0.0, 100, 1))
+    assert seeded == [(1, _MODE_SALTS[McMode.WINDOW_ROUTED], 0)]
+
+
+@pytest.mark.parametrize("tau, modes, p_attempt", [
+    (2.0**64, 1, 1e-18),       # k alone exceeds an int64
+    (2.0**61, 27, 2.7e-16),    # k * gamma_t does
+    (1e300, 1, 1e-300),
+])
+def test_windows_beyond_one_binomial_draw_are_rejected(monkeypatch, tau, modes, p_attempt):
+    # Too few expected heralds (k * p_attempt < 745) for a certain window, too
+    # many trials for one Binomial(n, p) draw: a ValueError naming tau_s, before
+    # any stream is seeded.
+    def no_stream(*args):
+        raise AssertionError("a rejected window seeded a stream")
+
+    monkeypatch.setattr(montecarlo, "_chunk_rng", no_stream)
+    with pytest.raises(ValueError, match="tau_s"):
+        _simulate_window(_count_law(3, p_attempt), tau, McConfig(1, 10, McMode.WINDOW_NV),
+                         modes, p_attempt / modes)
+
+
+def test_window_with_infinitely_many_attempts_is_rejected():
+    law = WindowLaw(omega=1e10, p_attempt=1e-320, stations=3, usable_fraction=1.0,
+                    floor_s=0.0, t_max=1e9)
+    with pytest.raises(ValueError, match="tau_s"):
+        _simulate_window(law, 1e300, McConfig(1, 10, McMode.WINDOW_ROUTED))
 
 
 @pytest.mark.parametrize("trials, workers, pool_size", [
