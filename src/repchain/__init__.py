@@ -56,7 +56,6 @@ from .network import (
     ResourceCount,
     TimingReport,
     Violation,
-    buffer_mode_capacity,
     check_feasibility,
     max_link_length,
     resources,

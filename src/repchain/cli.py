@@ -12,27 +12,28 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 from .experiments import (
+    ROUTED_SCENARIOS,
     CheckResult,
     McOptions,
     Study,
-    SweepRow,
     SweepSpec,
     fidelity_row,
     rate_row,
     rows_to_csv,
     run_custom,
     run_study,
+    simulate_row,
+    write_csv,
 )
 from .fidelity import InternalCheckError
-from .montecarlo import SCENARIO_MODES, McConfig, McMode, simulate_scenario, window_reference
+from .montecarlo import McConfig, McMode
 from .network import Config, NetworkDesign, max_link_length
 from .params import Era, ParameterProfile, builtin_profile, load_profile
-from .rates import Scenario, routed_cutoff_time, scenario_rate, window_law
+from .rates import Scenario, scenario_rate
 
 _ERA_TOKENS = tuple(era.value for era in Era)
 
@@ -119,16 +120,12 @@ def _tau_arg(args: argparse.Namespace, allow_zero: bool = False) -> float | None
     return tau
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
-
-
-def _emit_checked(rows: Sequence[SweepRow], checks: Sequence[CheckResult], out: str | None) -> int:
+def _emit(out: str | None, rows: Sequence, checks: Sequence[CheckResult] = ()) -> int:
     """Write the rows, then report failed checks on stderr; the exit code stays 0."""
-    _emit(rows_to_csv(rows), out)
+    if out is None:
+        sys.stdout.write(rows_to_csv(rows))
+    else:
+        write_csv(rows, out)
     failed = [c for c in checks if not c.passed]
     for c in failed:
         print(f"check failed: {c.name}: {c.detail}", file=sys.stderr)
@@ -141,7 +138,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     era, profile = _resolve_profile(args.profile)
     tau_s = _tau_arg(args)
     scenario = Scenario(args.scenario)
-    if args.no_buffer and scenario in (Scenario.SEGMENT, Scenario.NV_CHAIN):
+    if args.no_buffer and scenario not in ROUTED_SCENARIOS:
         print(f"note: --no-buffer does not apply to the {scenario.value} scenario",
               file=sys.stderr)
     if scenario is Scenario.ROUTED and args.no_buffer:
@@ -151,52 +148,21 @@ def _cmd_rate(args: argparse.Namespace) -> int:
         label = "segment" if scenario is Scenario.SEGMENT else "buffer-free"
         print(f"note: --tau-s does not apply to the {label} scenario", file=sys.stderr)
     report = scenario_rate(scenario, profile, design, tau_s)
-    _emit(rows_to_csv([rate_row(era, profile, design, report)]), args.out)
-    return 0
+    return _emit(args.out, [rate_row(era, profile, design, report)])
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
     era, profile = _resolve_profile(args.profile)
     design = _design_from_args(args, profile)
-    tau = _tau_arg(args, allow_zero=True)
-    tau, clamped = routed_cutoff_time(profile, design) if tau is None else (tau, None)
-    _emit(rows_to_csv([fidelity_row(era, profile, design, tau, clamped)]), args.out)
-    return 0
-
-
-_MODE_SCENARIOS = {mode: scenario for scenario, mode in SCENARIO_MODES.items()}
+    row = fidelity_row(era, profile, design, _tau_arg(args, allow_zero=True))
+    return _emit(args.out, [row])
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     era, profile = _resolve_profile(args.profile)
-    mode = McMode(args.mode)
     design = _design_from_args(args, profile)
-    cfg = McConfig(args.seed, args.trials, mode, args.workers)
-    tau_s = _tau_arg(args)
-    if mode is McMode.MICRO_LINK:
-        design = replace(design, n=1, big_n=1)
-    elif mode in (McMode.MICRO_SEGMENT, McMode.WINDOW_NV):
-        design = replace(design, big_n=1)
-    tau = clamped = rate_ref = None
-    if mode not in (McMode.MICRO_LINK, McMode.MICRO_SEGMENT):
-        # The window rows carry the closed form with the simulator's floored attempts.
-        law = window_law(_MODE_SCENARIOS[mode], profile, design)
-        tau, clamped = law.cutoff(design.epsilon) if tau_s is None else (tau_s, None)
-        rate_ref = window_reference(law, tau)
-    est = simulate_scenario(profile, design, tau, cfg)
-    row = SweepRow(
-        scenario=mode.value, era=era,
-        config=None if mode is McMode.WINDOW_NV else design.config.value,
-        n=design.n,
-        big_n=design.big_n if mode in (McMode.WINDOW_ROUTED, McMode.WINDOW_NO_BUFFER) else None,
-        ell_km=design.ell_km,
-        total_km=design.big_n * design.n * design.ell_km,
-        tau_s=tau, tau_clamped=clamped,
-        rate_hz=rate_ref, fidelity=None, qber=None,
-        mc_rate_hz=est.mean, mc_std_error=est.std_error, seed=est.seed,
-    )
-    _emit(rows_to_csv([row]), args.out)
-    return 0
+    cfg = McConfig(args.seed, args.trials, McMode(args.mode), args.workers)
+    return _emit(args.out, [simulate_row(era, profile, design, cfg, _tau_arg(args))])
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
@@ -204,7 +170,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     labels = ("near", "long") if args.era == "both" else (args.era,)
     profiles = [(label, builtin_profile(label)) for label in labels]
     mc = McOptions(args.with_mc, args.seed, args.trials, args.workers)
-    return _emit_checked(*run_study(study, profiles, mc), args.out)
+    return _emit(args.out, *run_study(study, profiles, mc))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -219,7 +185,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         xi=args.xi, epsilon=args.epsilon,
         mc=McOptions(args.with_mc, args.seed, args.trials, args.workers),
     )
-    return _emit_checked(*run_custom(spec), args.out)
+    return _emit(args.out, *run_custom(spec))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,11 +7,13 @@ clamping, anchors) evaluated on the produced data and returned as data, never
 raised: a failed check marks a disagreement between the implemented model and
 the documented expectation while the rows remain valid output.
 
-Column semantics: micro Monte Carlo scenarios report a probability in the
+Every row comes from one builder, _row, behind rate_row, simulate_row and
+fidelity_row. It applies the column rules once: only routed chains show N
+(fidelity rows describe one); the nv chain hides config; micro-link shows
+config and n = 1; total_km is N * n * ell_km over the columns present in the
+row; rows without a window leave tau_s and tau_clamped empty; qber follows
+from fidelity. Micro Monte Carlo scenarios report a probability in the
 mc_rate_hz / mc_std_error columns; all other scenarios report rates in Hz.
-Rows of window scenarios carry the window duration tau_s; rows without a
-window leave it empty. total_km is always N * n * ell_km over the columns
-present in the row.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .fidelity import end_to_end_report, qber, router_pair_werner, werner_to_fidelity
-from .montecarlo import SCENARIO_MODES, McConfig, McEstimate, McMode, simulate_scenario
+from .montecarlo import (
+    SCENARIO_MODES, McConfig, McEstimate, McMode, simulate_scenario, window_reference)
 from .network import Config, NetworkDesign, max_link_length
 from .params import ParameterProfile
 from .rates import RateReport, Scenario, attempt_rate, routed_cutoff_time, scenario_rate, window_law
@@ -32,6 +35,7 @@ __all__ = [
     "CSV_HEADER",
     "CheckResult",
     "McOptions",
+    "ROUTED_SCENARIOS",
     "Study",
     "SweepError",
     "SweepRow",
@@ -46,6 +50,7 @@ __all__ = [
     "run_rate_vs_links",
     "run_rate_vs_routers",
     "run_study",
+    "simulate_row",
     "write_csv",
 ]
 
@@ -65,7 +70,10 @@ OPERATING_N = {"near": 1, "long": 2}
 MAX_SWEEP_POINTS = 10_000
 
 # Scenarios with routers; the others run on one segment and hide the N column.
-_ROUTED_SCENARIOS = (Scenario.ROUTED, Scenario.ROUTED_NO_BUFFER)
+ROUTED_SCENARIOS = (Scenario.ROUTED, Scenario.ROUTED_NO_BUFFER)
+
+# The closed-form scenario each simulator checks; micro-link checks none.
+_MODE_SCENARIOS = {mode: scenario for scenario, mode in SCENARIO_MODES.items()}
 
 
 class SweepError(ValueError):
@@ -138,6 +146,26 @@ def write_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     Path(path).write_text(rows_to_csv(rows), encoding="utf-8", newline="\n")
 
 
+def _row(label: str, era: str, design: NetworkDesign, scenario: Scenario | None, *,
+         tau_s: float | None = None, tau_clamped: bool | None = None,
+         rate_hz: float | None = None, fidelity: float | None = None,
+         est: McEstimate | None = None) -> SweepRow:
+    """The one row constructor; scenario None is a single link (micro-link)."""
+    routed = scenario in ROUTED_SCENARIOS
+    n = design.n if scenario is not None else 1
+    return SweepRow(
+        scenario=label, era=era,
+        config=None if scenario is Scenario.NV_CHAIN else design.config.value,
+        n=n, big_n=design.big_n if routed else None, ell_km=design.ell_km,
+        total_km=(design.big_n if routed else 1) * n * design.ell_km,
+        tau_s=tau_s, tau_clamped=tau_clamped if tau_s is not None else None,
+        rate_hz=rate_hz, fidelity=fidelity,
+        qber=qber(fidelity) if fidelity is not None else None,
+        mc_rate_hz=est.mean if est else None, mc_std_error=est.std_error if est else None,
+        seed=est.seed if est else None,
+    )
+
+
 def rate_row(
     era: str,
     profile: ParameterProfile,
@@ -145,12 +173,11 @@ def rate_row(
     report: RateReport,
     mc: McOptions = McOptions(),
 ) -> SweepRow:
-    """One CSV row for a rate report; nv-chain hides config, only routed rows show N.
+    """One CSV row for a rate report.
 
     With MC on, segment probabilities are scaled to rates by the attempt rate.
     """
     scenario = report.scenario
-    routed = scenario in _ROUTED_SCENARIOS
     est = None
     if mc.enabled:
         mode = SCENARIO_MODES[scenario]
@@ -159,42 +186,50 @@ def rate_row(
         if mode is McMode.MICRO_SEGMENT:
             omega = attempt_rate(profile)
             est = McEstimate(est.mean * omega, est.std_error * omega, est.trials, est.seed)
-    return SweepRow(
-        scenario=scenario.value,
-        era=era,
-        config=None if scenario is Scenario.NV_CHAIN else design.config.value,
-        n=design.n,
-        big_n=design.big_n if routed else None,
-        ell_km=design.ell_km,
-        total_km=(design.big_n if routed else 1) * design.n * design.ell_km,
-        tau_s=report.tau_s,
-        tau_clamped=report.tau_clamped if report.tau_s is not None else None,
-        rate_hz=report.rate_hz,
-        fidelity=None,
-        qber=None,
-        mc_rate_hz=est.mean if est else None,
-        mc_std_error=est.std_error if est else None,
-        seed=est.seed if est else None,
-    )
+    return _row(scenario.value, era, design, scenario, tau_s=report.tau_s,
+                tau_clamped=report.tau_clamped, rate_hz=report.rate_hz, est=est)
+
+
+def simulate_row(
+    era: str,
+    profile: ParameterProfile,
+    design: NetworkDesign,
+    cfg: McConfig,
+    tau_s: float | None = None,
+) -> SweepRow:
+    """One CSV row for a seeded estimate of cfg.mode.
+
+    Window rows carry the closed form with the simulator's floored attempts,
+    over tau_s as given (unclamped, tau_clamped empty) or, by default, over the
+    clamped cutoff window.
+    """
+    scenario = _MODE_SCENARIOS.get(cfg.mode)
+    tau = clamped = rate_ref = None
+    if scenario not in (None, Scenario.SEGMENT):
+        law = window_law(scenario, profile, design)
+        tau, clamped = law.cutoff(design.epsilon) if tau_s is None else (tau_s, None)
+        rate_ref = window_reference(law, tau)
+    est = simulate_scenario(profile, design, tau, cfg)
+    return _row(cfg.mode.value, era, design, scenario, tau_s=tau, tau_clamped=clamped,
+                rate_hz=rate_ref, est=est)
 
 
 def fidelity_row(
     era: str,
     profile: ParameterProfile,
     design: NetworkDesign,
-    tau_s: float,
-    tau_clamped: bool | None,
+    tau_s: float | None = None,
+    tau_clamped: bool | None = None,
 ) -> SweepRow:
-    """One end-to-end fidelity row for pairs stored over tau_s."""
+    """One end-to-end fidelity row for pairs stored over tau_s.
+
+    tau_s defaults to the routed chain's cutoff window, with its clamp flag.
+    """
+    if tau_s is None:
+        tau_s, tau_clamped = routed_cutoff_time(profile, design)
     report = end_to_end_report(profile, design, tau_s)
-    return SweepRow(
-        scenario="fidelity-end-to-end", era=era, config=design.config.value,
-        n=design.n, big_n=design.big_n, ell_km=design.ell_km,
-        total_km=design.big_n * design.n * design.ell_km,
-        tau_s=tau_s, tau_clamped=tau_clamped,
-        rate_hz=None, fidelity=report.fidelity, qber=report.qber,
-        mc_rate_hz=None, mc_std_error=None, seed=None,
-    )
+    return _row("fidelity-end-to-end", era, design, Scenario.ROUTED, tau_s=tau_s,
+                tau_clamped=tau_clamped, fidelity=report.fidelity)
 
 
 def _add_rate_row(
@@ -410,20 +445,14 @@ def run_fidelity(
     for era, profile in profiles:
         ell = max_link_length(profile)
         for n in LINK_SWEEP:
-            w = router_pair_werner(profile, Config.A, n, 0.0)
-            f = werner_to_fidelity(w)
-            rows.append(SweepRow(
-                scenario="fidelity-router-pair", era=era, config=Config.A.value,
-                n=n, big_n=1, ell_km=ell, total_km=n * ell,
-                tau_s=0.0, tau_clamped=False,
-                rate_hz=None, fidelity=f, qber=qber(f),
-                mc_rate_hz=None, mc_std_error=None, seed=None,
-            ))
+            f = werner_to_fidelity(router_pair_werner(profile, Config.A, n, 0.0))
+            rows.append(_row("fidelity-router-pair", era, NetworkDesign(Config.A, ell, n, 1),
+                             Scenario.ROUTED, tau_s=0.0, tau_clamped=False, fidelity=f))
         n_seg = OPERATING_N[era]
         end_to_end: dict[int, float] = {}
         for big_n in ROUTER_SWEEP:
             design = NetworkDesign(Config.A, ell, n_seg, big_n)
-            row = fidelity_row(era, profile, design, *routed_cutoff_time(profile, design))
+            row = fidelity_row(era, profile, design)
             end_to_end[big_n] = row.fidelity
             rows.append(row)
         if era == "long":
@@ -487,7 +516,7 @@ _AXES = _INT_AXES | {"ell_km"}
 def _axis_values(spec: SweepSpec) -> list[float]:
     if spec.axis not in _AXES:
         raise SweepError(f"unknown sweep axis {spec.axis!r}; expected one of {sorted(_AXES)}")
-    if spec.axis == "big_n" and spec.scenario not in _ROUTED_SCENARIOS:
+    if spec.axis == "big_n" and spec.scenario not in ROUTED_SCENARIOS:
         raise SweepError(
             f"sweep axis big_n does not apply to the {spec.scenario.value} scenario, "
             f"which has no routers"

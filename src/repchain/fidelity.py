@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .network import Config, NetworkDesign
-from .params import DEFAULT_DECOHERENCE_RATE_PER_S, ParameterProfile
+from .params import _FIDELITY_FIELDS, DEFAULT_DECOHERENCE_RATE_PER_S, ParameterProfile
 
 # numpy is imported inside the oracle only, so the closed-form commands,
 # which never call it, start without loading numpy.
@@ -126,7 +126,7 @@ def _storage_factor(w_c13: float, tau_s: float, rate_per_s: float) -> float:
     # enters the memory, so the swap-fidelity penalty does not apply either.
     if tau_s == 0.0:
         return 1.0
-    return (w_c13 * math.exp(-rate_per_s * tau_s)) ** 2
+    return decohere(w_c13, tau_s, rate_per_s) ** 2
 
 
 def router_pair_werner(
@@ -180,11 +180,9 @@ def end_to_end_report(
     )
 
 
-# Order of the stage-fidelity sequence consumed by compose_oracle.
-STAGE_ORDER = (
-    "f_epps", "f_afc", "f_bsm", "f_ffsmm", "f_buff", "f_qfc",
-    "f_tb_pol", "f_map", "f_c13", "f_cnot", "f_rout",
-)
+# Order of the stage-fidelity sequence consumed by compose_oracle: the profile's
+# fidelity fields, in their declared order.
+STAGE_ORDER = _FIDELITY_FIELDS
 
 
 def profile_stage_fidelities(profile: ParameterProfile) -> tuple[float, ...]:

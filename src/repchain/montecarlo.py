@@ -68,6 +68,8 @@ PER_ATTEMPT_DRAW_LIMIT = 512
 MAX_WORKERS = max(256, os.cpu_count() or 1)
 
 MAX_SEED = 2**64 - 1
+# numpy's binomial count is an int64; a draw takes at most 2^63 - 1 trials.
+_BINOMIAL_LIMIT = 2**63
 
 
 class McMode(enum.Enum):
@@ -183,6 +185,15 @@ def floored_window_rate(p_attempt: float, k: int, stations: int, tau_s: float) -
     return window_success_prob(p_attempt, k) ** stations / tau_s
 
 
+def _spectral_modes(profile: ParameterProfile) -> int:
+    """gamma_f, checked to fit the trial count of one binomial draw."""
+    if profile.gamma_f >= _BINOMIAL_LIMIT:
+        raise ValueError(
+            f"gamma_f = {profile.gamma_f!r} spectral modes exceed one binomial draw's "
+            f"2^63 - 1 trials")
+    return profile.gamma_f
+
+
 def _link_draw(
     rng: np.random.Generator, count: int, gamma_f: int, p_mode: float, retrieval: float
 ) -> np.ndarray:
@@ -202,7 +213,7 @@ def simulate_link(profile: ParameterProfile, ell_km: float, cfg: McConfig) -> Mc
     _require_mode(cfg, McMode.MICRO_LINK)
     p_mode = link_mode_prob(profile, ell_km)
     retrieval = profile.eta_afc * profile.eta_shift
-    gamma_f = profile.gamma_f
+    gamma_f = _spectral_modes(profile)
 
     def chunk(rng: np.random.Generator, count: int) -> int:
         import numpy as np
@@ -223,7 +234,7 @@ def simulate_segment(profile: ParameterProfile, design: NetworkDesign, cfg: McCo
     p_mode = link_mode_prob(profile, design.ell_km)
     retrieval = profile.eta_afc * profile.eta_shift
     transfer = transfer_efficiency(profile, design.config, design.n)
-    gamma_f = profile.gamma_f
+    gamma_f = _spectral_modes(profile)
     n = design.n
     eta_bsm = profile.eta_bsm
 
@@ -248,6 +259,8 @@ def _window_outcome(law: WindowLaw, tau_s: float) -> tuple[int, bool | None]:
     k * p_attempt >= 745, so a station fails with probability under e^-745 (0.0 in double).
     """
     usable_s = law.usable_s(tau_s)
+    if usable_s <= 0.0:
+        return 0, False
     if math.isinf(law.omega * usable_s):
         raise ValueError(f"tau_s = {tau_s!r} holds more attempts than a float can count")
     k = floored_attempts(law.omega, usable_s)
@@ -275,7 +288,7 @@ def _simulate_window(
     k, fixed = _window_outcome(law, tau_s)
     if fixed is not None:
         return _estimate(cfg.trials if fixed else 0, cfg, tau_s)
-    if k * modes >= 2**63:    # numpy's binomial count is an int64
+    if k * modes >= _BINOMIAL_LIMIT:
         raise ValueError(f"tau_s = {tau_s!r} gives over 2^63 - 1 herald trials per station")
     p = law.p_attempt if p_mode is None else p_mode
 

@@ -22,7 +22,6 @@ __all__ = [
     "ResourceCount",
     "TimingReport",
     "Violation",
-    "buffer_mode_capacity",
     "check_feasibility",
     "max_link_length",
     "resources",
@@ -153,11 +152,3 @@ def check_feasibility(design: NetworkDesign, profile: ParameterProfile) -> list[
         ))
     return violations
 
-
-def buffer_mode_capacity(profile: ParameterProfile) -> int:
-    """Temporal modes a buffer holds, floor(t_buff_opt * r_epps).
-
-    The epsilon guard keeps exact integer products from flooring down when the
-    binary float product lands just below the integer.
-    """
-    return math.floor(profile.t_buff_opt * profile.r_epps + 1e-9)

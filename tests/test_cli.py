@@ -126,6 +126,31 @@ def test_rate_nv_chain_hides_config_and_big_n(capsys):
     assert float(fields[9]) == pytest.approx(1143.7285193287964, rel=1e-9)
 
 
+@pytest.mark.parametrize("head, config, n, big_n", [
+    (["simulate", "--mode", "micro-link"], "A", 1, None),
+    (["simulate", "--mode", "micro-segment"], "A", 2, None),
+    (["simulate", "--mode", "window-nv"], "", 2, None),
+    (["simulate", "--mode", "window-routed"], "A", 2, 3),
+    (["simulate", "--mode", "window-nobuffer"], "A", 2, 3),
+    (["rate", "--scenario", "segment"], "A", 2, None),
+    (["rate", "--scenario", "nv-chain"], "", 2, None),
+    (["rate", "--scenario", "routed"], "A", 2, 3),
+    (["rate", "--scenario", "routed-nobuffer"], "A", 2, 3),
+])
+def test_rows_show_n_only_for_routed_chains_and_count_it_in_total_km(
+        capsys, head, config, n, big_n):
+    # micro-link is one link (n = 1); only routed chains show N and count it in
+    # total_km; the nv chain hides config.
+    argv = [*head, "--profile", "long", "--n", "2", "--big-n", "3"]
+    if head[0] == "simulate":
+        argv += ["--trials", "64"]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    fields = parse_row(out)
+    assert fields[2:5] == [config, str(n), "" if big_n is None else str(big_n)]
+    assert float(fields[6]) == (big_n or 1) * n * float(fields[5])
+
+
 def test_fidelity_long(capsys):
     code, out, _ = run(capsys, ["fidelity", "--profile", "long", "--n", "2"])
     assert code == 0
@@ -316,6 +341,9 @@ def _extreme_calls(draw):
 # No attempt fits a subnormal window: a rate of 0, not 0 * (1 / tau) = nan.
 @example(call=(["simulate", "--mode", "window-routed", "--trials", "1", "--profile", "near",
                 "--tau-s=4.605980807055523e-309"], {"tau_s", "--tau-s"}))
+# No usable time in the window: no attempts, not an error about tau_s.
+@example(call=(["simulate", "--mode", "window-nv", "--trials", "1", "--ell-km", "1e-320"],
+               {"ell_km"}))
 def test_extreme_floats_exit_2_naming_the_field_or_give_finite_rows(capsys, call):
     # No --with-mc and no --workers: at most one one-trial estimate runs, in this thread.
     argv, fields = call
@@ -397,6 +425,22 @@ def test_non_finite_profile_field_exits_2(capsys, tmp_path, lines, field):
     assert out == ""
     assert err.startswith("error:")
     assert f"{field} = " in err
+
+
+@pytest.mark.parametrize("gamma_f", ["1e30", "9223372036854775808"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--mode", "micro-link"],
+    ["simulate", "--mode", "micro-segment"],
+    ["sweep", "--scenario", "segment", "--axis", "n", "--start", "1", "--stop", "1",
+     "--step", "1", "--with-mc"],
+])
+def test_mode_count_beyond_one_binomial_draw_exits_2(capsys, tmp_path, argv, gamma_f):
+    path = tmp_path / "wide.profile"
+    path.write_text(f"base = near\ngamma_f = {gamma_f}\n", encoding="utf-8")
+    code, out, err = run(capsys, [*argv, "--profile", str(path), "--trials", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: gamma_f = ")
 
 
 def test_reproduce_fidelity_near(capsys, tmp_path):

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import repchain
 from repchain import (
     CSV_HEADER,
     Config,
@@ -225,3 +229,19 @@ def test_mc_segment_rows_scale_probability_to_rate(ideal):
     # the micro estimate is scaled by the attempt rate into the same units
     assert row.mc_rate_hz > 1.0
     assert abs(row.mc_rate_hz - row.rate_hz) <= 5.0 * row.mc_std_error
+
+
+def _sweep_row_calls(path):
+    return sum(
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "SweepRow"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    )
+
+
+def test_one_row_builder_constructs_every_sweep_row():
+    # The column rules live in one builder in experiments.py; no other module builds rows.
+    package = Path(repchain.__file__).parent
+    calls = {path.name: _sweep_row_calls(path) for path in sorted(package.glob("*.py"))}
+    assert calls.pop("experiments.py") == 1
+    assert not any(calls.values()), calls

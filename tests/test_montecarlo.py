@@ -394,6 +394,36 @@ def test_window_with_infinitely_many_attempts_is_rejected():
         _simulate_window(law, 1e300, McConfig(1, 10, McMode.WINDOW_ROUTED))
 
 
+def test_window_with_no_usable_time_is_an_exact_zero(monkeypatch):
+    # An infinite attempt rate over negative usable time is no attempts, not inf * -0.5.
+    def no_stream(*args):
+        raise AssertionError("a window without usable time seeded a stream")
+
+    monkeypatch.setattr(montecarlo, "_chunk_rng", no_stream)
+    law = WindowLaw(omega=math.inf, p_attempt=0.5, stations=3, usable_fraction=0.5,
+                    floor_s=1.0, t_max=2.0)
+    assert _simulate_window(law, 1.0, McConfig(1, 10, McMode.WINDOW_NV)) == (
+        McEstimate(0.0, 0.0, 10, 1))
+
+
+@pytest.mark.parametrize("mode, simulate", [
+    (McMode.MICRO_LINK, lambda profile, cfg: simulate_link(profile, 20.0, cfg)),
+    (McMode.MICRO_SEGMENT,
+     lambda profile, cfg: simulate_segment(profile, _design(20.0, 2, 1), cfg)),
+], ids=["micro-link", "micro-segment"])
+def test_spectral_modes_beyond_one_binomial_draw_are_rejected(monkeypatch, near, mode, simulate):
+    # 2^63 - 1 modes still fit numpy's int64 count; one more is named, before any draw.
+    widest = dataclasses.replace(near, gamma_f=2**63 - 1)
+    assert simulate(widest, McConfig(1, 10, mode)).trials == 10
+
+    def no_stream(*args):
+        raise AssertionError("a rejected mode count seeded a stream")
+
+    monkeypatch.setattr(montecarlo, "_chunk_rng", no_stream)
+    with pytest.raises(ValueError, match=r"gamma_f = 9223372036854775808 "):
+        simulate(dataclasses.replace(near, gamma_f=2**63), McConfig(1, 10, mode))
+
+
 @pytest.mark.parametrize("trials, workers, pool_size", [
     (3 * CHUNK_TRIALS, MAX_WORKERS, 3),
     (3 * CHUNK_TRIALS, 2, 2),

@@ -7,7 +7,6 @@ from repchain import (
     Config,
     DesignError,
     NetworkDesign,
-    buffer_mode_capacity,
     check_feasibility,
     max_link_length,
     resources,
@@ -113,10 +112,3 @@ def test_feasibility_boundary_is_satisfied(near):
     boundary = dataclasses.replace(near, t_nv=t.t_trans)
     assert check_feasibility(NetworkDesign(Config.A, 20.0, 1, 1), boundary) == []
 
-
-def test_buffer_mode_capacity(near, long_term):
-    # 30 ns * 100 MHz = 3 exactly in reals; the float product lands just below
-    assert buffer_mode_capacity(near) == 3
-    assert buffer_mode_capacity(long_term) == 100
-    partial = dataclasses.replace(near, t_buff_opt=2.5e-8)
-    assert buffer_mode_capacity(partial) == 2
