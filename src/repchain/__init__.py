@@ -14,12 +14,7 @@ from .experiments import (
     SweepRow,
     SweepSpec,
     rows_to_csv,
-    run_config_compare,
     run_custom,
-    run_cutoff_window,
-    run_fidelity,
-    run_rate_vs_links,
-    run_rate_vs_routers,
     run_study,
     write_csv,
 )

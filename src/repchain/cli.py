@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .experiments import (
-    ROUTED_SCENARIOS,
     CheckResult,
     McOptions,
     Study,
@@ -138,15 +137,9 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     era, profile = _resolve_profile(args.profile)
     tau_s = _tau_arg(args)
     scenario = Scenario(args.scenario)
-    if args.no_buffer and scenario not in ROUTED_SCENARIOS:
-        print(f"note: --no-buffer does not apply to the {scenario.value} scenario",
-              file=sys.stderr)
-    if scenario is Scenario.ROUTED and args.no_buffer:
-        scenario = Scenario.ROUTED_NO_BUFFER
     design = _design_from_args(args, profile)
-    if tau_s is not None and scenario in (Scenario.SEGMENT, Scenario.ROUTED_NO_BUFFER):
-        label = "segment" if scenario is Scenario.SEGMENT else "buffer-free"
-        print(f"note: --tau-s does not apply to the {label} scenario", file=sys.stderr)
+    if tau_s is not None and scenario is Scenario.SEGMENT:
+        print("note: --tau-s does not apply to the segment scenario", file=sys.stderr)
     report = scenario_rate(scenario, profile, design, tau_s)
     return _emit(args.out, [rate_row(era, profile, design, report)])
 
@@ -205,11 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=[s.value for s in Scenario])
     _add_profile_arg(p_rate)
     _add_design_args(p_rate)
-    p_rate.add_argument("--no-buffer", action="store_true",
-                        help="drop the buffer stage; with --scenario routed this "
-                             "selects the buffer-free rate")
     p_rate.add_argument("--tau-s", type=float, default=None, metavar="F",
-                        help="explicit window duration for nv-chain and routed")
+                        help="explicit window duration for the windowed scenarios "
+                             "(nv-chain, routed, routed-nobuffer)")
     p_rate.add_argument("--out", default=None, metavar="PATH",
                         help="output CSV path (default: stdout)")
     p_rate.set_defaults(func=_cmd_rate)

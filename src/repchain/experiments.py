@@ -1,11 +1,13 @@
-"""Study runners, custom sweeps, and CSV emission.
+"""Standard studies, custom sweeps, and CSV emission.
 
-Each runner reproduces one standard study over the built-in eras and returns
-(rows, checks). Rows follow the fixed CSV column contract; checks are the
-runner's documented qualitative postconditions (orderings, crossovers,
-clamping, anchors) evaluated on the produced data and returned as data, never
-raised: a failed check marks a disagreement between the implemented model and
-the documented expectation while the rows remain valid output.
+run_study is the one study loop: it rejects unknown eras, then runs the
+study's private per-era body for each built-in era and returns (rows, checks).
+Rows follow the fixed CSV column contract; checks are the study's documented
+qualitative postconditions (orderings, crossovers, clamping, anchors)
+evaluated on the produced data and returned as data, never raised: a failed
+check marks a disagreement between the implemented model and the documented
+expectation while the rows remain valid output. Every "X ahead of Y at every
+point" ordering goes through one helper, _ahead.
 
 Every row comes from one builder, _row, behind rate_row, simulate_row and
 fidelity_row. It applies the column rules once: only routed chains show N
@@ -43,12 +45,7 @@ __all__ = [
     "fidelity_row",
     "rate_row",
     "rows_to_csv",
-    "run_config_compare",
     "run_custom",
-    "run_cutoff_window",
-    "run_fidelity",
-    "run_rate_vs_links",
-    "run_rate_vs_routers",
     "run_study",
     "simulate_row",
     "write_csv",
@@ -246,239 +243,172 @@ def _add_rate_row(
     return report
 
 
-def _require_known_eras(profiles: Sequence[tuple[str, ParameterProfile]]) -> None:
-    for label, _profile in profiles:
-        if label not in OPERATING_N:
-            raise SweepError(
-                f"study runners support eras {sorted(OPERATING_N)}, got {label!r}"
-            )
+def _ahead(name: str, lead: dict[int, float], trail: dict[int, float], points: Sequence[int],
+           expected: str, axis: str, behind: str = "behind") -> CheckResult:
+    """Check that lead is strictly above trail at every point; a nan counts as behind."""
+    bad = [x for x in points if not lead[x] > trail[x]]
+    return CheckResult(name, not bad, f"expected {expected}; {behind} at {axis}={bad}")
 
 
-def run_rate_vs_links(
-    profiles: Sequence[tuple[str, ParameterProfile]],
-    mc: McOptions = McOptions(),
-) -> tuple[list[SweepRow], list[CheckResult]]:
+def _rate_vs_links(rows: list[SweepRow], era: str, profile: ParameterProfile, ell: float,
+                   mc: McOptions) -> list[CheckResult]:
     """Single-segment rate against the homogeneous spin-photon chain, n = 1..8."""
-    _require_known_eras(profiles)
-    rows: list[SweepRow] = []
-    checks: list[CheckResult] = []
-    for era, profile in profiles:
-        ell = max_link_length(profile)
-        seg: dict[int, float] = {}
-        nv: dict[int, float] = {}
-        for n in LINK_SWEEP:
-            design = NetworkDesign(Config.A, ell, n, 1)
-            seg[n] = _add_rate_row(rows, era, profile, design, Scenario.SEGMENT, mc).rate_hz
-            nv[n] = _add_rate_row(rows, era, profile, design, Scenario.NV_CHAIN, mc).rate_hz
-        if era == "near":
-            checks.append(CheckResult(
+    seg: dict[int, float] = {}
+    nv: dict[int, float] = {}
+    for n in LINK_SWEEP:
+        design = NetworkDesign(Config.A, ell, n, 1)
+        seg[n] = _add_rate_row(rows, era, profile, design, Scenario.SEGMENT, mc).rate_hz
+        nv[n] = _add_rate_row(rows, era, profile, design, Scenario.NV_CHAIN, mc).rate_hz
+    if era == "near":
+        return [
+            CheckResult(
                 "near-crossover-first-link", seg[1] > nv[1],
                 f"segment {seg[1]:.4g} Hz vs nv-chain {nv[1]:.4g} Hz at n=1",
-            ))
-            bad = [n for n in LINK_SWEEP if n >= 2 and not seg[n] < nv[n]]
-            checks.append(CheckResult(
-                "near-crossover-rest",
-                not bad,
-                f"expected nv-chain ahead for n in [2,8]; segment still ahead at n={bad}",
-            ))
-            checks.append(CheckResult(
+            ),
+            _ahead("near-crossover-rest", nv, seg, LINK_SWEEP[1:],
+                   "nv-chain ahead for n in [2,8]", "n", behind="segment still ahead"),
+            CheckResult(
                 "near-single-segment-rate",
                 abs(seg[1] - 30.7) / 30.7 < 0.01,
                 f"rate {seg[1]:.6g} Hz vs expected 30.7 Hz",
-            ))
-        if era == "long":
-            bad_low = [n for n in (1, 2, 3) if not seg[n] > nv[n]]
-            checks.append(CheckResult(
-                "long-crossover-low", not bad_low,
-                f"expected segment ahead for n<=3; behind at n={bad_low}",
-            ))
-            bad_high = [n for n in LINK_SWEEP if n >= 4 and not seg[n] < nv[n]]
-            checks.append(CheckResult(
-                "long-crossover-high", not bad_high,
-                f"expected nv-chain ahead for n in [4,8]; behind at n={bad_high}",
-            ))
-    return rows, checks
+            ),
+        ]
+    return [
+        _ahead("long-crossover-low", seg, nv, (1, 2, 3), "segment ahead for n<=3", "n"),
+        _ahead("long-crossover-high", nv, seg, LINK_SWEEP[3:],
+               "nv-chain ahead for n in [4,8]", "n"),
+    ]
 
 
-def run_rate_vs_routers(
-    profiles: Sequence[tuple[str, ParameterProfile]],
-    mc: McOptions = McOptions(),
-) -> tuple[list[SweepRow], list[CheckResult]]:
+def _rate_vs_routers(rows: list[SweepRow], era: str, profile: ParameterProfile, ell: float,
+                     mc: McOptions) -> list[CheckResult]:
     """Buffered vs buffer-free routed chain vs spin-photon chain, N = 1..10."""
-    _require_known_eras(profiles)
-    rows: list[SweepRow] = []
-    checks: list[CheckResult] = []
-    for era, profile in profiles:
-        n_seg = OPERATING_N[era]
-        ell = max_link_length(profile)
-        buffered: dict[int, float] = {}
-        no_buffer: dict[int, float] = {}
-        nv: dict[int, float] = {}
-        for big_n in ROUTER_SWEEP:
-            design = NetworkDesign(Config.A, ell, n_seg, big_n)
-            buffered[big_n] = _add_rate_row(
-                rows, era, profile, design, Scenario.ROUTED, mc).rate_hz
-            no_buffer[big_n] = _add_rate_row(
-                rows, era, profile, design, Scenario.ROUTED_NO_BUFFER, mc).rate_hz
-            nv_design = NetworkDesign(Config.A, ell, n_seg * big_n, 1)
-            nv[big_n] = _add_rate_row(
-                rows, era, profile, nv_design, Scenario.NV_CHAIN, mc).rate_hz
-        if era == "near":
-            bad = [N for N in ROUTER_SWEEP if not no_buffer[N] > buffered[N]]
-            checks.append(CheckResult(
-                "near-no-buffer-advantage", not bad,
-                f"expected buffer-free ahead for all N; behind at N={bad}",
-            ))
-        if era == "long":
-            bad = [N for N in ROUTER_SWEEP if not buffered[N] > no_buffer[N]]
-            checks.append(CheckResult(
-                "long-buffer-advantage", not bad,
-                f"expected buffered ahead for all N; behind at N={bad}",
-            ))
-        bad_nv = [N for N in ROUTER_SWEEP if not buffered[N] > nv[N]]
-        checks.append(CheckResult(
-            f"{era}-routed-beats-nv-chain", not bad_nv,
-            f"expected routed chain ahead of nv-chain at matched length; behind at N={bad_nv}",
-        ))
-    return rows, checks
+    n_seg = OPERATING_N[era]
+    buffered: dict[int, float] = {}
+    no_buffer: dict[int, float] = {}
+    nv: dict[int, float] = {}
+    for big_n in ROUTER_SWEEP:
+        design = NetworkDesign(Config.A, ell, n_seg, big_n)
+        buffered[big_n] = _add_rate_row(rows, era, profile, design, Scenario.ROUTED, mc).rate_hz
+        no_buffer[big_n] = _add_rate_row(
+            rows, era, profile, design, Scenario.ROUTED_NO_BUFFER, mc).rate_hz
+        nv_design = NetworkDesign(Config.A, ell, n_seg * big_n, 1)
+        nv[big_n] = _add_rate_row(rows, era, profile, nv_design, Scenario.NV_CHAIN, mc).rate_hz
+    if era == "near":
+        buffer_check = _ahead("near-no-buffer-advantage", no_buffer, buffered, ROUTER_SWEEP,
+                              "buffer-free ahead for all N", "N")
+    else:
+        buffer_check = _ahead("long-buffer-advantage", buffered, no_buffer, ROUTER_SWEEP,
+                              "buffered ahead for all N", "N")
+    return [buffer_check, _ahead(
+        f"{era}-routed-beats-nv-chain", buffered, nv, ROUTER_SWEEP,
+        "routed chain ahead of nv-chain at matched length", "N")]
 
 
-def run_config_compare(
-    profiles: Sequence[tuple[str, ParameterProfile]],
-    mc: McOptions = McOptions(),
-) -> tuple[list[SweepRow], list[CheckResult]]:
+def _config_compare(rows: list[SweepRow], era: str, profile: ParameterProfile, ell: float,
+                    mc: McOptions) -> list[CheckResult]:
     """Configuration A vs B at matched total lengths, shortening factor 2."""
-    _require_known_eras(profiles)
     xi = 2
-    rows: list[SweepRow] = []
+    n_a = OPERATING_N[era]
     checks: list[CheckResult] = []
-    for era, profile in profiles:
-        n_a = OPERATING_N[era]
-        ell = max_link_length(profile)
-        rate_a: dict[int, float] = {}
-        rate_b: dict[int, float] = {}
-        for big_n in ROUTER_SWEEP:
-            design_a = NetworkDesign(Config.A, ell, n_a, big_n)
-            rate_a[big_n] = _add_rate_row(
-                rows, era, profile, design_a, Scenario.ROUTED, mc).rate_hz
-            design_b = NetworkDesign(Config.B, ell / xi, 1, big_n * n_a * xi, xi=xi)
-            rate_b[big_n] = _add_rate_row(
-                rows, era, profile, design_b, Scenario.ROUTED, mc).rate_hz
-            total_a, total_b = rows[-2].total_km, rows[-1].total_km
-            if not math.isclose(total_a, total_b, rel_tol=1e-12):
-                checks.append(CheckResult(
-                    f"{era}-matched-length-N{big_n}", False,
-                    f"total lengths diverge: {total_a} vs {total_b} km",
-                ))
-        if era == "near":
-            bad = [N for N in ROUTER_SWEEP if not rate_a[N] > rate_b[N]]
+    rate_a: dict[int, float] = {}
+    rate_b: dict[int, float] = {}
+    for big_n in ROUTER_SWEEP:
+        design_a = NetworkDesign(Config.A, ell, n_a, big_n)
+        rate_a[big_n] = _add_rate_row(rows, era, profile, design_a, Scenario.ROUTED, mc).rate_hz
+        design_b = NetworkDesign(Config.B, ell / xi, 1, big_n * n_a * xi, xi=xi)
+        rate_b[big_n] = _add_rate_row(rows, era, profile, design_b, Scenario.ROUTED, mc).rate_hz
+        total_a, total_b = rows[-2].total_km, rows[-1].total_km
+        if not math.isclose(total_a, total_b, rel_tol=1e-12):
             checks.append(CheckResult(
-                "near-config-a-advantage", not bad,
-                f"expected A ahead at all matched lengths; behind at N={bad}",
+                f"{era}-matched-length-N{big_n}", False,
+                f"total lengths diverge: {total_a} vs {total_b} km",
             ))
-        if era == "long":
-            bad = [N for N in ROUTER_SWEEP if not rate_b[N] > rate_a[N]]
-            checks.append(CheckResult(
-                "long-config-b-advantage", not bad,
-                f"expected B ahead at all matched lengths; behind at N={bad}",
-            ))
-    return rows, checks
+    if era == "near":
+        checks.append(_ahead("near-config-a-advantage", rate_a, rate_b, ROUTER_SWEEP,
+                             "A ahead at all matched lengths", "N"))
+    else:
+        checks.append(_ahead("long-config-b-advantage", rate_b, rate_a, ROUTER_SWEEP,
+                             "B ahead at all matched lengths", "N"))
+    return checks
 
 
-def run_cutoff_window(
-    profiles: Sequence[tuple[str, ParameterProfile]],
-    mc: McOptions = McOptions(),
-) -> tuple[list[SweepRow], list[CheckResult]]:
+def _cutoff_window(rows: list[SweepRow], era: str, profile: ParameterProfile, ell: float,
+                   mc: McOptions) -> list[CheckResult]:
     """Window duration behavior: vs segment count, and vs link length at N=1."""
-    _require_known_eras(profiles)
-    rows: list[SweepRow] = []
+    n_seg = OPERATING_N[era]
     checks: list[CheckResult] = []
-    for era, profile in profiles:
-        n_seg = OPERATING_N[era]
-        ell = max_link_length(profile)
-        left: dict[int, tuple[float, bool]] = {}
-        for big_n in ROUTER_SWEEP:
-            design = NetworkDesign(Config.A, ell, n_seg, big_n)
-            report = _add_rate_row(rows, era, profile, design, Scenario.ROUTED, mc)
-            left[big_n] = (report.tau_s, report.tau_clamped)
-        for n in (1, 2):
-            taus: list[float] = []
-            for ell_x in LENGTH_SWEEP_KM:
-                design = NetworkDesign(Config.A, float(ell_x), n, 1)
-                taus.append(_add_rate_row(rows, era, profile, design, Scenario.ROUTED, mc).tau_s)
-            bad = [
-                (lo, hi) for lo, hi in zip(taus, taus[1:]) if not hi >= lo
-            ]
-            checks.append(CheckResult(
-                f"{era}-window-monotone-in-length-n{n}", not bad,
-                f"window duration decreased across {len(bad)} step(s)",
-            ))
-        if era == "near":
-            bad = [
-                N for N, (tau, clamped) in left.items()
-                if not (clamped and math.isclose(tau, profile.t_nv, rel_tol=1e-12))
-            ]
-            checks.append(CheckResult(
-                "near-window-clamped", not bad,
-                "expected the storage-time clamp at every N; unclamped at N="
-                f"{bad} with tau {[round(left[N][0], 6) for N in bad]} s",
-            ))
-        eps_design = NetworkDesign(Config.A, ell, n_seg, 1, epsilon=1.0 - 1e-15)
-        tau_limit, _ = routed_cutoff_time(profile, eps_design)
-        floor = window_law(Scenario.ROUTED, profile, eps_design).floor_s
+    left: dict[int, tuple[float, bool]] = {}
+    for big_n in ROUTER_SWEEP:
+        design = NetworkDesign(Config.A, ell, n_seg, big_n)
+        report = _add_rate_row(rows, era, profile, design, Scenario.ROUTED, mc)
+        left[big_n] = (report.tau_s, report.tau_clamped)
+    for n in (1, 2):
+        taus: list[float] = []
+        for ell_x in LENGTH_SWEEP_KM:
+            design = NetworkDesign(Config.A, float(ell_x), n, 1)
+            taus.append(_add_rate_row(rows, era, profile, design, Scenario.ROUTED, mc).tau_s)
+        bad = [
+            (lo, hi) for lo, hi in zip(taus, taus[1:]) if not hi >= lo
+        ]
         checks.append(CheckResult(
-            f"{era}-window-epsilon-limit",
-            math.isclose(tau_limit, floor, rel_tol=1e-9),
-            f"tau {tau_limit!r} s vs handoff floor {floor!r} s",
+            f"{era}-window-monotone-in-length-n{n}", not bad,
+            f"window duration decreased across {len(bad)} step(s)",
         ))
-    return rows, checks
-
-
-def run_fidelity(
-    profiles: Sequence[tuple[str, ParameterProfile]],
-    mc: McOptions = McOptions(),
-) -> tuple[list[SweepRow], list[CheckResult]]:
-    """Pre-storage pair fidelity vs n, and end-to-end fidelity vs N."""
-    _require_known_eras(profiles)
-    rows: list[SweepRow] = []
-    checks: list[CheckResult] = []
-    for era, profile in profiles:
-        ell = max_link_length(profile)
-        for n in LINK_SWEEP:
-            f = werner_to_fidelity(router_pair_werner(profile, Config.A, n, 0.0))
-            rows.append(_row("fidelity-router-pair", era, NetworkDesign(Config.A, ell, n, 1),
-                             Scenario.ROUTED, tau_s=0.0, tau_clamped=False, fidelity=f))
-        n_seg = OPERATING_N[era]
-        end_to_end: dict[int, float] = {}
-        for big_n in ROUTER_SWEEP:
-            design = NetworkDesign(Config.A, ell, n_seg, big_n)
-            row = fidelity_row(era, profile, design)
-            end_to_end[big_n] = row.fidelity
-            rows.append(row)
-        if era == "long":
-            checks.append(CheckResult(
-                "long-minimum-fidelity", end_to_end[1] >= 0.80,
-                f"end-to-end fidelity {end_to_end[1]:.4f} at N=1",
-            ))
-        if era == "near":
-            bad = [N for N in ROUTER_SWEEP if N >= 2 and not end_to_end[N] < 0.5]
-            checks.append(CheckResult(
-                "near-useful-range", not bad,
-                f"expected sub-0.5 fidelity for N >= 2; above at N={bad}",
-            ))
+    if era == "near":
+        bad = [
+            N for N, (tau, clamped) in left.items()
+            if not (clamped and math.isclose(tau, profile.t_nv, rel_tol=1e-12))
+        ]
+        checks.append(CheckResult(
+            "near-window-clamped", not bad,
+            "expected the storage-time clamp at every N; unclamped at N="
+            f"{bad} with tau {[round(left[N][0], 6) for N in bad]} s",
+        ))
+    eps_design = NetworkDesign(Config.A, ell, n_seg, 1, epsilon=1.0 - 1e-15)
+    tau_limit, _ = routed_cutoff_time(profile, eps_design)
+    floor = window_law(Scenario.ROUTED, profile, eps_design).floor_s
     checks.append(CheckResult(
-        "qber-anchor", abs(qber(0.8) - 0.1333) <= 1e-4,
-        f"qber(0.8) = {qber(0.8)!r}",
+        f"{era}-window-epsilon-limit",
+        math.isclose(tau_limit, floor, rel_tol=1e-9),
+        f"tau {tau_limit!r} s vs handoff floor {floor!r} s",
     ))
-    return rows, checks
+    return checks
 
 
-_STUDY_RUNNERS: dict[Study, Callable] = {
-    Study.RATE_VS_LINKS: run_rate_vs_links,
-    Study.RATE_VS_ROUTERS: run_rate_vs_routers,
-    Study.CONFIG_COMPARE: run_config_compare,
-    Study.CUTOFF_WINDOW: run_cutoff_window,
-    Study.FIDELITY: run_fidelity,
+def _fidelity(rows: list[SweepRow], era: str, profile: ParameterProfile, ell: float,
+              mc: McOptions) -> list[CheckResult]:
+    """Pre-storage pair fidelity vs n, and end-to-end fidelity vs N."""
+    for n in LINK_SWEEP:
+        f = werner_to_fidelity(router_pair_werner(profile, Config.A, n, 0.0))
+        rows.append(_row("fidelity-router-pair", era, NetworkDesign(Config.A, ell, n, 1),
+                         Scenario.ROUTED, tau_s=0.0, tau_clamped=False, fidelity=f))
+    n_seg = OPERATING_N[era]
+    end_to_end: dict[int, float] = {}
+    for big_n in ROUTER_SWEEP:
+        design = NetworkDesign(Config.A, ell, n_seg, big_n)
+        row = fidelity_row(era, profile, design)
+        end_to_end[big_n] = row.fidelity
+        rows.append(row)
+    if era == "long":
+        return [CheckResult(
+            "long-minimum-fidelity", end_to_end[1] >= 0.80,
+            f"end-to-end fidelity {end_to_end[1]:.4f} at N=1",
+        )]
+    bad = [N for N in ROUTER_SWEEP if N >= 2 and not end_to_end[N] < 0.5]
+    return [CheckResult(
+        "near-useful-range", not bad,
+        f"expected sub-0.5 fidelity for N >= 2; above at N={bad}",
+    )]
+
+
+# Each study body appends one era's rows and returns that era's checks.
+_STUDY_RUNNERS: dict[Study, Callable[..., list[CheckResult]]] = {
+    Study.RATE_VS_LINKS: _rate_vs_links,
+    Study.RATE_VS_ROUTERS: _rate_vs_routers,
+    Study.CONFIG_COMPARE: _config_compare,
+    Study.CUTOFF_WINDOW: _cutoff_window,
+    Study.FIDELITY: _fidelity,
 }
 
 
@@ -487,7 +417,26 @@ def run_study(
     profiles: Sequence[tuple[str, ParameterProfile]],
     mc: McOptions = McOptions(),
 ) -> tuple[list[SweepRow], list[CheckResult]]:
-    return _STUDY_RUNNERS[study](profiles, mc)
+    """Run one standard study over the given eras, in order; returns (rows, checks).
+
+    Each era's body gets the era's maximum link length; the fidelity study
+    closes with the era-independent qber anchor.
+    """
+    for label, _profile in profiles:
+        if label not in OPERATING_N:
+            raise SweepError(
+                f"study runners support eras {sorted(OPERATING_N)}, got {label!r}"
+            )
+    rows: list[SweepRow] = []
+    checks: list[CheckResult] = []
+    for era, profile in profiles:
+        checks += _STUDY_RUNNERS[study](rows, era, profile, max_link_length(profile), mc)
+    if study is Study.FIDELITY:
+        checks.append(CheckResult(
+            "qber-anchor", abs(qber(0.8) - 0.1333) <= 1e-4,
+            f"qber(0.8) = {qber(0.8)!r}",
+        ))
+    return rows, checks
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,10 @@ def attempt_rate(profile: ParameterProfile) -> float:
 
 def nv_attempt_rate(ell_km: float) -> float:
     """Spin-photon link attempt rate, Hz: one attempt per link traversal."""
-    return SIGNAL_VELOCITY_KM_PER_S / ell_km
+    omega = SIGNAL_VELOCITY_KM_PER_S / ell_km
+    if math.isinf(omega):
+        raise ValueError(f"ell_km = {ell_km!r} gives an attempt rate a float cannot hold")
+    return omega
 
 
 def segment_rate(profile: ParameterProfile, design: NetworkDesign) -> RateReport:
@@ -298,7 +301,11 @@ def no_buffer_cutoff_time(profile: ParameterProfile, design: NetworkDesign) -> t
     return window_law(Scenario.ROUTED_NO_BUFFER, profile, design).cutoff(design.epsilon)
 
 
-def routed_rate_no_buffer(profile: ParameterProfile, design: NetworkDesign) -> RateReport:
+def routed_rate_no_buffer(
+    profile: ParameterProfile,
+    design: NetworkDesign,
+    tau_s: float | None = None,
+) -> RateReport:
     """Window-rate lower bound without buffers.
 
     The per-attempt segment probability sheds both buffer passes (it is
@@ -306,7 +313,7 @@ def routed_rate_no_buffer(profile: ParameterProfile, design: NetworkDesign) -> R
     dividing the buffered value) and each segment only attempts during half
     of the window.
     """
-    return _window_rate(Scenario.ROUTED_NO_BUFFER, profile, design, None)
+    return _window_rate(Scenario.ROUTED_NO_BUFFER, profile, design, tau_s)
 
 
 def scenario_rate(
@@ -315,11 +322,11 @@ def scenario_rate(
     design: NetworkDesign,
     tau_s: float | None = None,
 ) -> RateReport:
-    """Rate report of any scenario; tau_s applies to nv-chain and routed only."""
+    """Rate report of any scenario; tau_s applies to the windowed scenarios only."""
     if scenario is Scenario.SEGMENT:
         return segment_rate(profile, design)
     if scenario is Scenario.NV_CHAIN:
         return nv_chain_rate(profile, design, tau_s)
     if scenario is Scenario.ROUTED:
         return routed_rate(profile, design, tau_s)
-    return routed_rate_no_buffer(profile, design)
+    return routed_rate_no_buffer(profile, design, tau_s)

@@ -58,11 +58,12 @@ def test_no_command_is_usage_error(capsys):
     ["simulate", "--mode", "bogus"],
     ["reproduce", "--study", "bogus", "--out", "x.csv"],
     ["rate"],
-    # --no-buffer selects the buffer-free rate, so only rate takes it.
+    # The buffer-free chain is --scenario routed-nobuffer; no subcommand takes --no-buffer.
     ["fidelity", "--no-buffer"],
     ["simulate", "--mode", "window-routed", "--no-buffer"],
     ["sweep", "--scenario", "routed", "--axis", "n", "--start", "1", "--stop", "3",
      "--step", "1", "--no-buffer"],
+    ["rate", "--scenario", "routed", "--no-buffer"],
 ])
 def test_bad_choices_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, argv)
@@ -95,12 +96,22 @@ def test_rate_routed_long(capsys):
     assert fields[10] == "" and fields[11] == ""
 
 
-def test_no_buffer_flag_switches_scenario(capsys):
-    code, out, _ = run(capsys, ["rate", "--scenario", "routed", "--no-buffer"])
+def test_rate_routed_nobuffer_scenario(capsys):
+    code, out, _ = run(capsys, ["rate", "--scenario", "routed-nobuffer"])
     assert code == 0
     fields = parse_row(out)
     assert fields[0] == "routed-nobuffer"
     assert float(fields[9]) == pytest.approx(50.39892893014383, rel=1e-9)
+
+
+def test_rate_routed_nobuffer_uses_tau_s(capsys):
+    code, out, err = run(capsys, ["rate", "--scenario", "routed-nobuffer", "--profile", "near",
+                                  "--big-n", "2", "--tau-s", "0.01"])
+    assert code == 0
+    assert err == ""
+    fields = parse_row(out)
+    assert fields[7] == "0.01"
+    assert 0.0 < float(fields[9]) < 1.0 / 0.01
 
 
 @pytest.mark.parametrize("scenario, profile", [("segment", "near"), ("nv-chain", "long")])
@@ -261,6 +272,9 @@ VALIDATION_ERRORS = [
     # binomial draw, and too few expected heralds for a certain window.
     (["simulate", "--mode", "window-routed", "--profile", "near", "--ell-km", "700",
       "--tau-s", "1e13"], "tau_s"),
+    # A link so short that its attempt rate overflows: the length is at fault, not the window.
+    (["simulate", "--mode", "window-nv", "--ell-km", "1e-320", "--tau-s", "1"], "ell_km"),
+    (["rate", "--scenario", "nv-chain", "--ell-km", "1e-320", "--tau-s", "1"], "ell_km"),
 ]
 
 
@@ -341,7 +355,7 @@ def _extreme_calls(draw):
 # No attempt fits a subnormal window: a rate of 0, not 0 * (1 / tau) = nan.
 @example(call=(["simulate", "--mode", "window-routed", "--trials", "1", "--profile", "near",
                 "--tau-s=4.605980807055523e-309"], {"tau_s", "--tau-s"}))
-# No usable time in the window: no attempts, not an error about tau_s.
+# The attempt rate overflows: an error about ell_km, not about tau_s.
 @example(call=(["simulate", "--mode", "window-nv", "--trials", "1", "--ell-km", "1e-320"],
                {"ell_km"}))
 def test_extreme_floats_exit_2_naming_the_field_or_give_finite_rows(capsys, call):
@@ -505,16 +519,6 @@ def test_tau_note_for_segment_goes_to_stderr(capsys):
     assert code == 0
     assert "--tau-s" in err
     assert out.splitlines()[1].startswith("segment,")
-
-
-@pytest.mark.parametrize("scenario", ["segment", "nv-chain"])
-def test_no_buffer_note_for_routerless_scenarios_goes_to_stderr(capsys, scenario):
-    argv = ["rate", "--scenario", scenario, "--profile", "long", "--n", "2"]
-    _, plain, _ = run(capsys, argv)
-    code, out, err = run(capsys, [*argv, "--no-buffer"])
-    assert code == 0
-    assert err == f"note: --no-buffer does not apply to the {scenario} scenario\n"
-    assert out == plain
 
 
 # Runs main() on each argv in a new interpreter, then reports which of the
