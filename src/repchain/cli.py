@@ -1,9 +1,10 @@
-"""Command-line interface.
+"""Command-line interface. It only parses: each subcommand makes one
+experiments call and writes the rows that call returns.
 
 Exit codes: 0 success, 1 usage error, 2 validation error (bad parameter
-values, malformed profile files, unusable designs), 3 internal invariant
-failure. Runner check failures are reported on stderr but exit 0: the rows
-are valid output and the checks are part of it.
+values, malformed profile files, unusable designs). Runner check failures
+are reported on stderr but exit 0: the rows are valid output and the checks
+are part of it.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ from .experiments import (
     simulate_row,
     write_csv,
 )
-from .fidelity import InternalCheckError
 from .montecarlo import McConfig, McMode
 from .network import Config, NetworkDesign, max_link_length
 from .params import Era, ParameterProfile, builtin_profile, load_profile
-from .rates import Scenario, scenario_rate
+from .rates import Scenario
 
 _ERA_TOKENS = tuple(era.value for era in Era)
 
@@ -60,14 +60,10 @@ def _resolve_profile(token: str) -> tuple[str, ParameterProfile]:
     return Path(token).stem, load_profile(token)
 
 
-def _add_profile_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--profile", default="near", metavar="PATH|near|long|ideal",
-        help="built-in era name or profile file (default: near)",
-    )
-
-
 def _add_design_args(parser: argparse.ArgumentParser) -> None:
+    """The profile, the design and the optional output path."""
+    parser.add_argument("--profile", default="near", metavar="PATH|near|long|ideal",
+                        help="built-in era name or profile file (default: near)")
     parser.add_argument("--config", choices=("A", "B"), default="A",
                         help="memory placement configuration (default: A)")
     parser.add_argument("--ell-km", type=float, default=None, metavar="F",
@@ -82,11 +78,11 @@ def _add_design_args(parser: argparse.ArgumentParser) -> None:
                         help="link shortening factor for config B (default: 2)")
     parser.add_argument("--epsilon", type=float, default=0.05, metavar="F",
                         help="accepted window failure probability (default: 0.05)")
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="output CSV path (default: stdout)")
 
 
 def _add_mc_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--with-mc", action="store_true",
-                        help="attach Monte Carlo estimates to each row")
     parser.add_argument("--seed", type=int, default=0, metavar="U64",
                         help="master seed (default: 0)")
     parser.add_argument("--trials", type=int, default=100_000, metavar="N",
@@ -140,8 +136,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     design = _design_from_args(args, profile)
     if tau_s is not None and scenario is Scenario.SEGMENT:
         print("note: --tau-s does not apply to the segment scenario", file=sys.stderr)
-    report = scenario_rate(scenario, profile, design, tau_s)
-    return _emit(args.out, [rate_row(era, profile, design, report)])
+    return _emit(args.out, [rate_row(era, profile, design, scenario, tau_s)])
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
@@ -196,24 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rate.add_argument("--scenario", required=True,
                         choices=[s.value for s in Scenario])
-    _add_profile_arg(p_rate)
     _add_design_args(p_rate)
     p_rate.add_argument("--tau-s", type=float, default=None, metavar="F",
                         help="explicit window duration for the windowed scenarios "
                              "(nv-chain, routed, routed-nobuffer)")
-    p_rate.add_argument("--out", default=None, metavar="PATH",
-                        help="output CSV path (default: stdout)")
     p_rate.set_defaults(func=_cmd_rate)
 
     p_fid = sub.add_parser(
         "fidelity",
         help="end-to-end fidelity and QBER for one design",
     )
-    _add_profile_arg(p_fid)
     _add_design_args(p_fid)
     p_fid.add_argument("--tau-s", type=float, default=None, metavar="F",
                        help="storage duration (default: the design's window duration)")
-    p_fid.add_argument("--out", default=None, metavar="PATH")
     p_fid.set_defaults(func=_cmd_fidelity)
 
     p_sim = sub.add_parser(
@@ -222,15 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--mode", required=True,
                        choices=[m.value for m in McMode])
-    _add_profile_arg(p_sim)
     _add_design_args(p_sim)
     p_sim.add_argument("--tau-s", type=float, default=None, metavar="F",
                        help="window duration for window modes "
                             "(default: the closed-form duration)")
-    p_sim.add_argument("--seed", type=int, default=0, metavar="U64")
-    p_sim.add_argument("--trials", type=int, default=100_000, metavar="N")
-    p_sim.add_argument("--workers", type=int, default=1, metavar="I")
-    p_sim.add_argument("--out", default=None, metavar="PATH")
+    _add_mc_args(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_rep = sub.add_parser(
@@ -241,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[s.value for s in Study])
     p_rep.add_argument("--era", choices=("near", "long", "both"), default="both")
     p_rep.add_argument("--out", required=True, metavar="PATH")
-    _add_mc_args(p_rep)
     p_rep.set_defaults(func=_cmd_reproduce)
 
     p_sweep = sub.add_parser(
@@ -254,12 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--start", type=float, required=True)
     p_sweep.add_argument("--stop", type=float, required=True)
     p_sweep.add_argument("--step", type=float, required=True)
-    _add_profile_arg(p_sweep)
     _add_design_args(p_sweep)
-    p_sweep.add_argument("--out", default=None, metavar="PATH")
-    _add_mc_args(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
+    # simulate always draws; reproduce and sweep draw on request.
+    for p in (p_rep, p_sweep):
+        p.add_argument("--with-mc", action="store_true",
+                       help="attach Monte Carlo estimates to each row")
+        _add_mc_args(p)
     return parser
 
 
@@ -272,9 +259,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except InternalCheckError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

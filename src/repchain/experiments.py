@@ -10,12 +10,14 @@ expectation while the rows remain valid output. Every "X ahead of Y at every
 point" ordering goes through one helper, _ahead.
 
 Every row comes from one builder, _row, behind rate_row, simulate_row and
-fidelity_row. It applies the column rules once: only routed chains show N
-(fidelity rows describe one); the nv chain hides config; micro-link shows
-config and n = 1; total_km is N * n * ell_km over the columns present in the
-row; rows without a window leave tau_s and tau_clamped empty; qber follows
-from fidelity. Micro Monte Carlo scenarios report a probability in the
-mc_rate_hz / mc_std_error columns; all other scenarios report rates in Hz.
+fidelity_row. Each solves its own report, so a caller passes a scenario or
+mode and an optional tau_s, never a report. _row applies the column rules
+once: only routed chains show N (fidelity rows describe one); the nv
+chain hides config; micro-link shows config and n = 1; total_km is
+N * n * ell_km over the columns present in the row; rows without a window
+leave tau_s and tau_clamped empty; qber follows from fidelity. Micro Monte
+Carlo scenarios report a probability in the mc_rate_hz / mc_std_error
+columns; all other scenarios report rates in Hz.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .montecarlo import (
     SCENARIO_MODES, McConfig, McEstimate, McMode, simulate_scenario, window_reference)
 from .network import Config, NetworkDesign, max_link_length
 from .params import ParameterProfile
-from .rates import RateReport, Scenario, attempt_rate, routed_cutoff_time, scenario_rate, window_law
+from .rates import Scenario, attempt_rate, routed_cutoff_time, scenario_rate, window_law
 
 __all__ = [
     "CSV_HEADER",
@@ -167,14 +169,15 @@ def rate_row(
     era: str,
     profile: ParameterProfile,
     design: NetworkDesign,
-    report: RateReport,
+    scenario: Scenario,
+    tau_s: float | None = None,
     mc: McOptions = McOptions(),
 ) -> SweepRow:
-    """One CSV row for a rate report.
+    """One CSV row for the rate of a scenario; tau_s applies to windowed scenarios.
 
     With MC on, segment probabilities are scaled to rates by the attempt rate.
     """
-    scenario = report.scenario
+    report = scenario_rate(scenario, profile, design, tau_s)
     est = None
     if mc.enabled:
         mode = SCENARIO_MODES[scenario]
@@ -216,14 +219,13 @@ def fidelity_row(
     profile: ParameterProfile,
     design: NetworkDesign,
     tau_s: float | None = None,
-    tau_clamped: bool | None = None,
 ) -> SweepRow:
     """One end-to-end fidelity row for pairs stored over tau_s.
 
-    tau_s defaults to the routed chain's cutoff window, with its clamp flag.
+    tau_s defaults to the routed chain's cutoff window, with its clamp flag;
+    an explicit tau_s leaves the flag empty.
     """
-    if tau_s is None:
-        tau_s, tau_clamped = routed_cutoff_time(profile, design)
+    tau_s, tau_clamped = routed_cutoff_time(profile, design) if tau_s is None else (tau_s, None)
     report = end_to_end_report(profile, design, tau_s)
     return _row("fidelity-end-to-end", era, design, Scenario.ROUTED, tau_s=tau_s,
                 tau_clamped=tau_clamped, fidelity=report.fidelity)
@@ -236,11 +238,11 @@ def _add_rate_row(
     design: NetworkDesign,
     scenario: Scenario,
     mc: McOptions,
-) -> RateReport:
-    """Append the rate row of one scenario and design; return its report."""
-    report = scenario_rate(scenario, profile, design)
-    rows.append(rate_row(era, profile, design, report, mc))
-    return report
+) -> SweepRow:
+    """Append the rate row of one scenario and design; return the row."""
+    row = rate_row(era, profile, design, scenario, mc=mc)
+    rows.append(row)
+    return row
 
 
 def _ahead(name: str, lead: dict[int, float], trail: dict[int, float], points: Sequence[int],
@@ -341,8 +343,8 @@ def _cutoff_window(rows: list[SweepRow], era: str, profile: ParameterProfile, el
     left: dict[int, tuple[float, bool]] = {}
     for big_n in ROUTER_SWEEP:
         design = NetworkDesign(Config.A, ell, n_seg, big_n)
-        report = _add_rate_row(rows, era, profile, design, Scenario.ROUTED, mc)
-        left[big_n] = (report.tau_s, report.tau_clamped)
+        row = _add_rate_row(rows, era, profile, design, Scenario.ROUTED, mc)
+        left[big_n] = (row.tau_s, row.tau_clamped)
     for n in (1, 2):
         taus: list[float] = []
         for ell_x in LENGTH_SWEEP_KM:

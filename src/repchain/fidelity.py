@@ -84,7 +84,7 @@ def decohere(
     rate_per_s: float = DEFAULT_DECOHERENCE_RATE_PER_S,
 ) -> float:
     """Werner weight after storing one qubit of the pair for tau_s seconds."""
-    if tau_s < 0:
+    if not tau_s >= 0:
         raise ValueError(f"tau_s = {tau_s!r} must be >= 0")
     return w * math.exp(-rate_per_s * tau_s)
 
@@ -124,6 +124,7 @@ def transfer_werner(profile: ParameterProfile, config: Config, n: int) -> float:
 def _storage_factor(w_c13: float, tau_s: float, rate_per_s: float) -> float:
     # Storage is a discrete event: a pair held for exactly zero time never
     # enters the memory, so the swap-fidelity penalty does not apply either.
+    # Every other tau_s, nan included, is checked by decohere.
     if tau_s == 0.0:
         return 1.0
     return decohere(w_c13, tau_s, rate_per_s) ** 2
@@ -136,8 +137,6 @@ def router_pair_werner(
     tau_s: float,
 ) -> float:
     """Werner weight of a router-router pair after storage for tau_s."""
-    if tau_s < 0:
-        raise ValueError(f"tau_s = {tau_s!r} must be >= 0")
     w = segment_werner(profile, n) * transfer_werner(profile, config, n) ** 2
     return w * _storage_factor(
         fidelity_to_werner(profile.f_c13), tau_s, profile.decoherence_rate_per_s
@@ -150,8 +149,6 @@ def end_to_end_report(
     tau_s: float,
 ) -> WernerReport:
     """Full pipeline report for a routed chain of big_n segments."""
-    if tau_s < 0:
-        raise ValueError(f"tau_s = {tau_s!r} must be >= 0")
     w_link = link_werner(profile)
     w_segment = segment_werner(profile, design.n)
     w_transfer = transfer_werner(profile, design.config, design.n)
@@ -227,7 +224,7 @@ def compose_oracle(
         )
     if n < 1 or big_n < 1:
         raise ValueError("n and big_n must be >= 1")
-    if tau_s < 0:
+    if not tau_s >= 0:
         raise ValueError(f"tau_s = {tau_s!r} must be >= 0")
     w = {
         name: fidelity_to_werner(f)

@@ -70,6 +70,8 @@ MAX_WORKERS = max(256, os.cpu_count() or 1)
 MAX_SEED = 2**64 - 1
 # numpy's binomial count is an int64; a draw takes at most 2^63 - 1 trials.
 _BINOMIAL_LIMIT = 2**63
+# Herald counts in one chunk's (count, stations) block: 2^22 int64 counts are 32 MiB.
+MAX_BLOCK_COUNTS = 2**22
 
 
 class McMode(enum.Enum):
@@ -258,6 +260,8 @@ def _window_outcome(law: WindowLaw, tau_s: float) -> tuple[int, bool | None]:
     draw can change it, else None. False: k = 0 or p_attempt 0. True: p_attempt 1, or
     k * p_attempt >= 745, so a station fails with probability under e^-745 (0.0 in double).
     """
+    if not tau_s > 0:
+        raise ValueError(f"tau_s = {tau_s!r} must be > 0")
     usable_s = law.usable_s(tau_s)
     if usable_s <= 0.0:
         return 0, False
@@ -283,11 +287,17 @@ def _simulate_window(
     Each of a station's k attempts tries `modes` modes that herald with p_mode
     (one mode with law.p_attempt by default). Draw order per chunk: one
     (count, stations) block of Binomial(k * modes, p) herald counts. A window
-    with a fixed outcome is tallied exactly, without seeding or drawing.
+    with a fixed outcome is tallied exactly, without seeding or drawing; one
+    whose block would exceed MAX_BLOCK_COUNTS is rejected before any seeding.
     """
     k, fixed = _window_outcome(law, tau_s)
     if fixed is not None:
         return _estimate(cfg.trials if fixed else 0, cfg, tau_s)
+    block = min(CHUNK_TRIALS, cfg.trials) * law.stations
+    if block > MAX_BLOCK_COUNTS:
+        field = "n" if cfg.mode is McMode.WINDOW_NV else "big_n"
+        raise ValueError(f"{field} = {law.stations!r} stations draw {block} herald counts per "
+                         f"chunk, over the {MAX_BLOCK_COUNTS} limit")
     if k * modes >= _BINOMIAL_LIMIT:
         raise ValueError(f"tau_s = {tau_s!r} gives over 2^63 - 1 herald trials per station")
     p = law.p_attempt if p_mode is None else p_mode

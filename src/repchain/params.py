@@ -97,7 +97,8 @@ _FIDELITY_FIELDS = (
     "f_epps", "f_afc", "f_bsm", "f_ffsmm", "f_buff", "f_qfc", "f_tb_pol",
     "f_map", "f_c13", "f_cnot", "f_rout",
 )
-_TIME_FIELDS = ("t_nv", "t_c13", "t_cnot", "t_afc", "t_buff_opt", "t_buff_spin")
+_POSITIVE_FIELDS = ("t_nv", "t_c13", "t_cnot", "t_afc", "t_buff_opt", "t_buff_spin", "r_epps")
+_NONNEGATIVE_FIELDS = ("alpha_db_per_km", "decoherence_rate_per_s")
 _COUNT_FIELDS = ("gamma_t", "gamma_f")
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ParameterProfile))
@@ -169,26 +170,20 @@ def validate_profile(profile: ParameterProfile) -> ParameterProfile:
         value = getattr(profile, name)
         if not 0.25 <= value <= 1.0:
             raise ParameterValidationError(f"{name} = {value!r} outside [0.25, 1]")
-    for name in _TIME_FIELDS:
+    for name in _POSITIVE_FIELDS:
         value = getattr(profile, name)
         if not value > 0.0:
             raise ParameterValidationError(f"{name} = {value!r} must be > 0")
-    if not profile.r_epps > 0.0:
-        raise ParameterValidationError(f"r_epps = {profile.r_epps!r} must be > 0")
     for name in _COUNT_FIELDS:
         value = getattr(profile, name)
         if not isinstance(value, int) or value < 0:
             raise ParameterValidationError(
                 f"{name} = {value!r} must be a nonnegative integer"
             )
-    if profile.alpha_db_per_km < 0.0:
-        raise ParameterValidationError(
-            f"alpha_db_per_km = {profile.alpha_db_per_km!r} must be >= 0"
-        )
-    if profile.decoherence_rate_per_s < 0.0:
-        raise ParameterValidationError(
-            f"decoherence_rate_per_s = {profile.decoherence_rate_per_s!r} must be >= 0"
-        )
+    for name in _NONNEGATIVE_FIELDS:
+        value = getattr(profile, name)
+        if not value >= 0.0:
+            raise ParameterValidationError(f"{name} = {value!r} must be >= 0")
     return profile
 
 

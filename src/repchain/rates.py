@@ -94,7 +94,7 @@ def link_success_prob(profile: ParameterProfile, ell_km: float) -> float:
     Any of the gamma_f spectral modes may herald at the midpoint measurement,
     then both stored halves must be retrieved and mode-mapped.
     """
-    if ell_km < 0:
+    if not ell_km >= 0:
         raise ValueError(f"ell_km = {ell_km!r} must be >= 0")
     p_any = 1.0 - (1.0 - link_mode_prob(profile, ell_km)) ** profile.gamma_f
     return _clip01(p_any * (profile.eta_afc * profile.eta_shift) ** 2)
@@ -102,7 +102,7 @@ def link_success_prob(profile: ParameterProfile, ell_km: float) -> float:
 
 def nv_link_success_prob(profile: ParameterProfile, ell_km: float) -> float:
     """Per-attempt success probability of one spin-photon elementary link."""
-    if ell_km < 0:
+    if not ell_km >= 0:
         raise ValueError(f"ell_km = {ell_km!r} must be >= 0")
     return _clip01(1.0 - (1.0 - nv_mode_prob(profile, ell_km)) ** profile.gamma_t)
 
@@ -150,6 +150,8 @@ def attempt_rate(profile: ParameterProfile) -> float:
 
 def nv_attempt_rate(ell_km: float) -> float:
     """Spin-photon link attempt rate, Hz: one attempt per link traversal."""
+    if not ell_km > 0:
+        raise ValueError(f"ell_km = {ell_km!r} must be > 0")
     omega = SIGNAL_VELOCITY_KM_PER_S / ell_km
     if math.isinf(omega):
         raise ValueError(f"ell_km = {ell_km!r} gives an attempt rate a float cannot hold")
@@ -185,6 +187,8 @@ class WindowLaw:
 
     def clamp(self, tau_s: float) -> tuple[float, bool]:
         """Clamp a window into [floor_s, t_max]; the flag reports the upper clamp."""
+        if not tau_s > 0:
+            raise ValueError(f"tau_s = {tau_s!r} must be > 0")
         if tau_s > self.t_max:
             return self.t_max, True
         return max(tau_s, self.floor_s), False

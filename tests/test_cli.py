@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from repchain import (
     segment_success_prob,
     timings,
 )
+from repchain import cli
 from repchain.cli import main
 
 HEADER = (
@@ -275,6 +277,10 @@ VALIDATION_ERRORS = [
     # A link so short that its attempt rate overflows: the length is at fault, not the window.
     (["simulate", "--mode", "window-nv", "--ell-km", "1e-320", "--tau-s", "1"], "ell_km"),
     (["rate", "--scenario", "nv-chain", "--ell-km", "1e-320", "--tau-s", "1"], "ell_km"),
+    # 4096 trials over 1025 stations: one chunk's herald-count block exceeds
+    # montecarlo.MAX_BLOCK_COUNTS, so the estimate is refused before it draws.
+    (["simulate", "--mode", "window-routed", "--profile", "long", "--n", "2",
+      "--big-n", "1025", "--trials", "4096"], "big_n"),
 ]
 
 
@@ -616,3 +622,18 @@ def test_estimate_that_draws_loads_numpy_random_before_its_first_chunk(tmp_path)
                           "--out", str(tmp_path / "mc.csv")]], _FRESH_CLI_AT_CHUNK)
     assert result == {"codes": [0],
                       "chunks": [[False, ["numpy.random", "concurrent.futures"]]] * 2}
+
+
+def test_cli_only_parses():
+    # Rates, estimates and fidelities are solved behind one experiments call per
+    # subcommand: cli takes only the choice enums and the estimate config.
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    assert imported["rates"] == {"Scenario"}
+    assert imported["montecarlo"] == {"McConfig", "McMode"}
+    assert "fidelity" not in imported
+    assert "InternalCheckError" not in source
+    assert "scenario_rate" not in source

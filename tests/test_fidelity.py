@@ -98,6 +98,18 @@ def test_router_pair_werner(near, long_term):
         router_pair_werner(near, Config.A, 1, -1.0)
 
 
+@pytest.mark.parametrize("tau", [-1.0, math.nan, -math.inf])
+def test_every_pipeline_entry_names_a_bad_storage_time(near, tau):
+    # decohere holds the one tau_s >= 0 check; the pipeline entries reach it unchanged.
+    design = NetworkDesign(Config.A, 20.0, 1, 2)
+    for call in (lambda: decohere(0.9, tau),
+                 lambda: router_pair_werner(near, Config.A, 1, tau),
+                 lambda: end_to_end_report(near, design, tau)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"tau_s = {tau!r} must be >= 0"
+
+
 def test_storage_factor_is_piecewise(near):
     # tau = 0 skips storage entirely; any positive tau pays the memory-write
     # fidelity twice even as the decay factor approaches one
@@ -184,5 +196,7 @@ def test_compose_oracle_rejects_bad_inputs(near):
         compose_oracle(stages[:-1], 0.0, 1, 1, Config.A)
     with pytest.raises(ValueError):
         compose_oracle(stages, -0.5, 1, 1, Config.A)
+    with pytest.raises(ValueError, match="tau_s = nan must be >= 0"):
+        compose_oracle(stages, math.nan, 1, 2, Config.A)
     with pytest.raises(ValueError):
         compose_oracle(stages, 0.0, 0, 1, Config.A)

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from repchain import montecarlo
 from repchain.montecarlo import (
     _MODE_SALTS,
     CHUNK_TRIALS,
+    MAX_BLOCK_COUNTS,
     MAX_SEED,
     MAX_WORKERS,
     PER_ATTEMPT_DRAW_LIMIT,
@@ -392,6 +394,50 @@ def test_window_with_infinitely_many_attempts_is_rejected():
                     floor_s=0.0, t_max=1e9)
     with pytest.raises(ValueError, match="tau_s"):
         _simulate_window(law, 1e300, McConfig(1, 10, McMode.WINDOW_ROUTED))
+
+
+def _no_stream(*args):
+    raise AssertionError("a rejected estimate seeded a stream")
+
+
+_WINDOW_SIMULATORS = [
+    (McMode.WINDOW_ROUTED, simulate_routed),
+    (McMode.WINDOW_NV, simulate_nv_chain),
+    (McMode.WINDOW_NO_BUFFER, simulate_no_buffer),
+]
+
+
+@pytest.mark.parametrize("mode, simulate", _WINDOW_SIMULATORS,
+                         ids=[mode.value for mode, _ in _WINDOW_SIMULATORS])
+@pytest.mark.parametrize("tau", [math.nan, 0.0, -1.0])
+def test_window_estimates_need_a_positive_tau(monkeypatch, long_term, mode, simulate, tau):
+    monkeypatch.setattr(montecarlo, "_chunk_rng", _no_stream)
+    with pytest.raises(ValueError, match=re.escape(f"tau_s = {tau!r} must be > 0")):
+        simulate(long_term, _design(40.0, 2, 3), tau, McConfig(1, 10, mode))
+
+
+@pytest.mark.parametrize("mode, field", [
+    (McMode.WINDOW_ROUTED, "big_n"), (McMode.WINDOW_NO_BUFFER, "big_n"), (McMode.WINDOW_NV, "n"),
+], ids=["window-routed", "window-nobuffer", "window-nv"])
+def test_window_block_beyond_the_count_bound_is_rejected(monkeypatch, mode, field):
+    # One more station than a full chunk's block allows: named before any stream is seeded.
+    monkeypatch.setattr(montecarlo, "_chunk_rng", _no_stream)
+    stations = MAX_BLOCK_COUNTS // CHUNK_TRIALS + 1
+    with pytest.raises(ValueError, match=f"^{field} = {stations} stations"):
+        _simulate_window(_count_law(stations, 0.01), 8.0, McConfig(1, 5000, mode))
+
+
+def test_window_blocks_within_the_count_bound_run(monkeypatch):
+    # A full chunk at the bound passes the check (the draw itself is stubbed) ...
+    monkeypatch.setattr(montecarlo, "_run_chunks", lambda cfg, chunk_fn: 0)
+    stations = MAX_BLOCK_COUNTS // CHUNK_TRIALS
+    assert _simulate_window(_count_law(stations, 0.01), 8.0,
+                            McConfig(1, 5000, McMode.WINDOW_ROUTED)).trials == 5000
+    monkeypatch.undo()
+    # ... and a one-trial estimate over a million stations draws its one row:
+    # every station heralds within 64 attempts of p = 1/2 but with odds 2^-64.
+    assert _simulate_window(_count_law(10**6, 0.5), 64.0,
+                            McConfig(1, 1, McMode.WINDOW_ROUTED)) == McEstimate(1 / 64, 0.0, 1, 1)
 
 
 def test_window_with_no_usable_time_is_an_exact_zero(monkeypatch):

@@ -72,21 +72,26 @@ def test_builtins_pass_validation():
         validate_profile(builtin_profile(era))
 
 
-@pytest.mark.parametrize("field,value", [
-    ("eta_bsm", 1.5),
-    ("eta_det", -0.1),
-    ("f_epps", 0.2),
-    ("f_rout", 1.01),
-    ("t_afc", 0.0),
-    ("t_nv", -1.0),
-    ("r_epps", 0.0),
-    ("alpha_db_per_km", -0.2),
-    ("decoherence_rate_per_s", -1.0),
-])
-def test_validate_rejects_out_of_range(near, field, value):
+_OUT_OF_RANGE = [
+    ("eta_bsm", 1.5, "eta_bsm = 1.5 outside [0, 1]"),
+    ("eta_det", -0.1, "eta_det = -0.1 outside [0, 1]"),
+    ("f_epps", 0.2, "f_epps = 0.2 outside [0.25, 1]"),
+    ("f_rout", 1.01, "f_rout = 1.01 outside [0.25, 1]"),
+    ("t_afc", 0.0, "t_afc = 0.0 must be > 0"),
+    ("t_nv", -1.0, "t_nv = -1.0 must be > 0"),
+    ("r_epps", 0.0, "r_epps = 0.0 must be > 0"),
+    ("alpha_db_per_km", -0.2, "alpha_db_per_km = -0.2 must be >= 0"),
+    ("decoherence_rate_per_s", -1.0, "decoherence_rate_per_s = -1.0 must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("field,value,message", _OUT_OF_RANGE,
+                         ids=[f"{field}-{value}" for field, value, _ in _OUT_OF_RANGE])
+def test_validate_rejects_out_of_range(near, field, value, message):
     bad = dataclasses.replace(near, **{field: value})
-    with pytest.raises(ParameterValidationError, match=field):
+    with pytest.raises(ParameterValidationError) as info:
         validate_profile(bad)
+    assert str(info.value) == message
 
 
 def test_validate_rejects_non_finite_floats(near):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -334,3 +335,27 @@ def test_no_buffer_cutoff_within_bounds(near, long_term):
         tau, _ = no_buffer_cutoff_time(profile, design)
         t = timings(design, profile)
         assert t.t_trans <= tau <= profile.t_nv
+
+
+@pytest.mark.parametrize("rate", [routed_rate, nv_chain_rate, routed_rate_no_buffer],
+                         ids=lambda rate: rate.__name__)
+@pytest.mark.parametrize("tau", [math.nan, -1.0, 0.0, -math.inf])
+def test_explicit_window_must_be_positive(long_term, rate, tau):
+    # An explicit window is named, not raised to the handoff floor or carried as nan.
+    design = NetworkDesign(Config.A, 40.0, 2, 3)
+    with pytest.raises(ValueError, match=re.escape(f"tau_s = {tau!r} must be > 0")):
+        rate(long_term, design, tau_s=tau)
+
+
+@pytest.mark.parametrize("ell", [0.0, -5.0, math.nan])
+def test_nv_attempt_rate_needs_a_positive_length(ell):
+    with pytest.raises(ValueError, match=re.escape(f"ell_km = {ell!r} must be > 0")):
+        nv_attempt_rate(ell)
+
+
+@pytest.mark.parametrize("law", [link_success_prob, nv_link_success_prob],
+                         ids=lambda law: law.__name__)
+def test_link_laws_reject_a_nan_length(near, law):
+    with pytest.raises(ValueError, match="ell_km = nan must be >= 0"):
+        law(near, math.nan)
+    assert 0.0 < law(near, 0.0) <= 1.0
