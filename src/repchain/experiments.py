@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .fidelity import end_to_end_report, qber, router_pair_werner, werner_to_fidelity
 from .montecarlo import (
@@ -87,8 +87,8 @@ class Study(enum.Enum):
     FIDELITY = "fidelity"
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    # rows_to_csv writes the fields in this order: it is the CSV column order.
     scenario: str
     era: str
     config: str | None
@@ -106,8 +106,7 @@ class SweepRow:
     seed: int | None
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -131,13 +130,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_ROW_FIELDS = tuple(field.name for field in dataclass_fields(SweepRow))
-
-
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join(_fmt(getattr(row, name)) for name in _ROW_FIELDS))
+        lines.append(",".join([_fmt(v) for v in row]))
     return "\n".join(lines) + "\n"
 
 

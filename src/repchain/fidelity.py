@@ -10,8 +10,7 @@ bookkeeping (stage multiplicities, storage decay, router swaps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .network import Config, NetworkDesign
 from .params import _FIDELITY_FIELDS, DEFAULT_DECOHERENCE_RATE_PER_S, ParameterProfile
@@ -44,8 +43,7 @@ class InternalCheckError(RuntimeError):
     """Raised when an internal consistency invariant fails; indicates a bug."""
 
 
-@dataclass(frozen=True)
-class WernerReport:
+class WernerReport(NamedTuple):
     w_link: float                 # one elementary pair
     w_segment: float              # n links swapped into one segment pair
     w_transfer: float             # state transfer into a router memory

@@ -24,7 +24,7 @@ import enum
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .network import NetworkDesign
 from .params import ParameterProfile
@@ -121,8 +121,7 @@ class McConfig:
             raise ValueError(f"workers = {self.workers!r} must be in [1, {MAX_WORKERS}]")
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     mean: float        # probability for micro modes, rate in Hz for window modes
     std_error: float
     trials: int

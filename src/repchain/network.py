@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import ParameterProfile
 
@@ -73,23 +74,20 @@ class NetworkDesign:
             )
 
 
-@dataclass(frozen=True)
-class TimingReport:
+class TimingReport(NamedTuple):
     t_rt: float           # link traversal time, ell / signal velocity
     t_arc: float          # full segment traversal, n * t_rt
     t_trans: float        # router handoff including segment traversal
     t_trans_tilde: float  # router handoff alone
 
 
-@dataclass(frozen=True)
-class ResourceCount:
+class ResourceCount(NamedTuple):
     qms: int       # quantum memories per reference span
     qrs: int       # extra quantum routers per reference span
     total_km: float
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     name: str
     message: str
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .network import SIGNAL_VELOCITY_KM_PER_S, Config, NetworkDesign, timings
 from .params import ParameterProfile
@@ -57,8 +57,7 @@ class Scenario(enum.Enum):
     ROUTED_NO_BUFFER = "routed-nobuffer"
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     scenario: Scenario
     tau_s: float | None      # window duration; None for the windowless segment scenario
     tau_clamped: bool
@@ -172,8 +171,7 @@ def segment_rate(profile: ParameterProfile, design: NetworkDesign) -> RateReport
     )
 
 
-@dataclass(frozen=True, slots=True)
-class WindowLaw:
+class WindowLaw(NamedTuple):
     """Fixed-window law: each station attempts at rate omega, with success
     p_attempt, during usable_fraction of the window less the handoff floor_s.
     """
@@ -197,13 +195,13 @@ class WindowLaw:
         """Smallest window such that all stations succeed w.p. 1 - epsilon, clamped.
 
         Degenerate probabilities resolve to the continuous limits: certain
-        success needs no search time, impossible success saturates the
-        storage budget.
+        success needs no search time; impossible success, or no attempts at
+        all, saturates the storage budget.
         """
+        if self.omega <= 0.0 or self.p_attempt <= 0.0:
+            return self.t_max, True
         if self.p_attempt >= 1.0:
             return self.floor_s, False
-        if self.p_attempt <= 0.0:
-            return self.t_max, True
         per_station_failure = 1.0 - (1.0 - epsilon) ** (1.0 / self.stations)
         if per_station_failure >= 1.0:
             return self.floor_s, False

@@ -8,13 +8,16 @@ are analyzed in the project notes rather than glossed over.
 """
 
 import dataclasses
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repchain
 from repchain import (
     Config,
     McConfig,
@@ -260,11 +263,16 @@ def test_a08_matrix_oracle_agreement(capfd):
 
 
 def test_a09_csv_determinism(capfd, tmp_path):
+    # The child imports the repchain under test, installed or not.
+    src = str(Path(repchain.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
     def run_cli(args, out_name):
         out = tmp_path / out_name
         proc = subprocess.run(
             [sys.executable, "-m", "repchain", *args, "--out", str(out)],
-            capture_output=True, text=True, timeout=240,
+            capture_output=True, text=True, timeout=240, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         return out.read_bytes()

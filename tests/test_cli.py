@@ -596,6 +596,28 @@ def test_certain_window_loads_no_numpy(tmp_path):
     )
 
 
+def test_source_that_never_fires_saturates_the_window(tmp_path):
+    # eta_epps = 0 makes no segment attempts: every routed window takes the
+    # storage clamp t_nv = 1.0 s and yields no pair. The estimates draw nothing.
+    profile = tmp_path / "dark.profile"
+    profile.write_text("base = near\neta_epps = 0\n", encoding="utf-8")
+    argvs = [["rate", "--scenario", "routed"], ["rate", "--scenario", "routed-nobuffer"],
+             ["fidelity"], ["simulate", "--mode", "window-routed"],
+             ["simulate", "--mode", "window-nobuffer"]]
+    out = [tmp_path / f"{i}.csv" for i in range(len(argvs))]
+    result = _fresh_cli([[*argv, "--profile", str(profile), "--out", str(path)]
+                         for argv, path in zip(argvs, out)])
+    assert result == {"codes": [0] * len(argvs), "loaded": []}
+    assert [path.read_text(encoding="utf-8").splitlines()[1] for path in out] == [
+        "routed,dark,A,1,1,20.0,20.0,1.0,true,0.0,,,,,",
+        "routed-nobuffer,dark,A,1,1,20.0,20.0,1.0,true,0.0,,,,,",
+        "fidelity-end-to-end,dark,A,1,1,20.0,20.0,1.0,true,,"
+        "0.45225568845574476,0.36516287436283684,,,",
+        "window-routed,dark,A,1,1,20.0,20.0,1.0,true,0.0,,,0.0,0.0,0",
+        "window-nobuffer,dark,A,1,1,20.0,20.0,1.0,true,0.0,,,0.0,0.0,0",
+    ]
+
+
 # As _FRESH_CLI, but reports, per chunk stream, whether it was seeded on the
 # main thread and which heavy modules were loaded by then.
 _FRESH_CLI_AT_CHUNK = """

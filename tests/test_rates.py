@@ -25,6 +25,7 @@ from repchain import (
     timings,
     transfer_efficiency,
 )
+from repchain.rates import WindowLaw
 
 # Frozen values from an independent scratch oracle run before this module
 # existed. Probabilities, efficiencies, and window durations agree to a few
@@ -271,6 +272,14 @@ def test_impossible_segment_saturates_storage(near):
     assert clamped
     rep = routed_rate(dead, design)
     assert rep.rate_hz == 0.0
+
+
+@pytest.mark.parametrize("p_attempt", [0.5, 1.0])
+def test_no_attempts_saturate_storage(p_attempt):
+    # A station that never attempts cannot succeed, even when each attempt would.
+    law = WindowLaw(omega=0.0, p_attempt=p_attempt, stations=2, usable_fraction=1.0,
+                    floor_s=1e-3, t_max=1.0)
+    assert law.cutoff(0.05) == (1.0, True)
 
 
 def test_certain_segment_needs_no_search_time(near):
