@@ -31,9 +31,10 @@ from typing import Callable, NamedTuple, Sequence
 from .fidelity import end_to_end_report, qber, router_pair_werner, werner_to_fidelity
 from .montecarlo import (
     SCENARIO_MODES, McConfig, McEstimate, McMode, simulate_scenario, window_reference)
-from .network import Config, NetworkDesign, max_link_length
+from .network import Config, NetworkDesign, _python_scalar, max_link_length
 from .params import ParameterProfile
-from .rates import Scenario, attempt_rate, routed_cutoff_time, scenario_rate, window_law
+from .rates import (
+    _NV_CHAIN, Scenario, attempt_rate, routed_cutoff_time, scenario_rate, window_law)
 
 __all__ = [
     "CSV_HEADER",
@@ -120,20 +121,30 @@ class McOptions:
     workers: int = 1
 
 
-def _fmt(value) -> str:
+def _cell(value) -> str:
+    """A cell whose type is not an exact Python scalar type.
+
+    A numpy scalar prints as the Python scalar it holds and a float subclass
+    as its float digits, so such inputs write the same bytes as plain ones.
+    """
+    value = _python_scalar(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:
+    # Cells of an exact type format inline; any other type goes through _cell.
     lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join([_fmt(v) for v in row]))
+    lines += [",".join(["" if v is None else repr(v) if (t := type(v)) is float
+                        else ("true" if v else "false") if t is bool
+                        else v if t is str else str(v) if t is int else _cell(v)
+                        for v in row])
+              for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -141,23 +152,30 @@ def write_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     Path(path).write_text(rows_to_csv(rows), encoding="utf-8", newline="\n")
 
 
-def _row(label: str, era: str, design: NetworkDesign, scenario: Scenario | None, *,
+def _row(label: str, era: str, design: NetworkDesign, scenario: Scenario | None,
          tau_s: float | None = None, tau_clamped: bool | None = None,
          rate_hz: float | None = None, fidelity: float | None = None,
          est: McEstimate | None = None) -> SweepRow:
-    """The one row constructor; scenario None is a single link (micro-link)."""
+    """The one row constructor; scenario None is a single link (micro-link).
+
+    The era label is written unquoted, so one holding a comma, a double quote
+    or a line break is rejected.
+    """
+    if "," in era or '"' in era or "\n" in era or "\r" in era:
+        raise ValueError(
+            f"era label {era!r} holds a comma, a double quote or a line break, "
+            f"which a CSV cell cannot carry unquoted")
     routed = scenario in ROUTED_SCENARIOS
     n = design.n if scenario is not None else 1
+    # Enum members keep their value in _value_; reading it skips the .value descriptor.
     return SweepRow(
-        scenario=label, era=era,
-        config=None if scenario is Scenario.NV_CHAIN else design.config.value,
-        n=n, big_n=design.big_n if routed else None, ell_km=design.ell_km,
-        total_km=(design.big_n if routed else 1) * n * design.ell_km,
-        tau_s=tau_s, tau_clamped=tau_clamped if tau_s is not None else None,
-        rate_hz=rate_hz, fidelity=fidelity,
-        qber=qber(fidelity) if fidelity is not None else None,
-        mc_rate_hz=est.mean if est else None, mc_std_error=est.std_error if est else None,
-        seed=est.seed if est else None,
+        label, era, None if scenario is _NV_CHAIN else design.config._value_,
+        n, design.big_n if routed else None, design.ell_km,
+        (design.big_n if routed else 1) * n * design.ell_km,
+        tau_s, tau_clamped if tau_s is not None else None, rate_hz, fidelity,
+        qber(fidelity) if fidelity is not None else None,
+        est.mean if est else None, est.std_error if est else None,
+        est.seed if est else None,
     )
 
 
@@ -182,8 +200,8 @@ def rate_row(
         if mode is McMode.MICRO_SEGMENT:
             omega = attempt_rate(profile)
             est = McEstimate(est.mean * omega, est.std_error * omega, est.trials, est.seed)
-    return _row(scenario.value, era, design, scenario, tau_s=report.tau_s,
-                tau_clamped=report.tau_clamped, rate_hz=report.rate_hz, est=est)
+    return _row(scenario._value_, era, design, scenario, report.tau_s, report.tau_clamped,
+                report.rate_hz, est=est)
 
 
 def simulate_row(
@@ -502,15 +520,22 @@ def _axis_values(spec: SweepSpec) -> list[float]:
 def run_custom(spec: SweepSpec) -> tuple[list[SweepRow], list[CheckResult]]:
     """Sweep one axis for one scenario; returns rows plus a row-count check."""
     values = _axis_values(spec)
+    axis = spec.axis
+    designs = [
+        NetworkDesign(
+            spec.config,
+            value if axis == "ell_km" else spec.ell_km,
+            value if axis == "n" else spec.n,
+            value if axis == "big_n" else spec.big_n,
+            spec.xi,
+            spec.epsilon,
+        )
+        for value in values
+    ]
     rows: list[SweepRow] = []
     for era, profile in spec.profiles:
-        for value in values:
-            fields = dict(
-                config=spec.config, ell_km=spec.ell_km, n=spec.n,
-                big_n=spec.big_n, xi=spec.xi, epsilon=spec.epsilon,
-            )
-            fields[spec.axis] = value
-            _add_rate_row(rows, era, profile, NetworkDesign(**fields), spec.scenario, spec.mc)
+        for design in designs:
+            _add_rate_row(rows, era, profile, design, spec.scenario, spec.mc)
     expected = len(spec.profiles) * len(values)
     checks = [CheckResult(
         "row-count", len(rows) == expected,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .network import Config, NetworkDesign
+from .network import _CONFIG_A, Config, NetworkDesign
 from .params import _FIDELITY_FIELDS, DEFAULT_DECOHERENCE_RATE_PER_S, ParameterProfile
 
 # numpy is imported inside the oracle only, so the closed-form commands,
@@ -87,36 +87,43 @@ def decohere(
     return w * math.exp(-rate_per_s * tau_s)
 
 
-def link_werner(profile: ParameterProfile) -> float:
-    """Werner weight of one elementary pair: midpoint swap of two stored halves."""
-    w_src = (
-        fidelity_to_werner(profile.f_epps)
-        * fidelity_to_werner(profile.f_afc)
-        * fidelity_to_werner(profile.f_ffsmm)
-    )
-    return fidelity_to_werner(profile.f_bsm) * w_src ** 2
+def _pair_weights(profile: ParameterProfile, config: Config, n: int) -> tuple[float, float, float]:
+    """Werner weights (w_link, w_segment, w_transfer) before storage, each stage once.
 
-
-def segment_werner(profile: ParameterProfile, n: int) -> float:
-    """Werner weight after swapping n links into one segment pair."""
+    An elementary pair is the midpoint swap of two stored halves; n of them
+    are swapped into one segment pair; each segment end then transfers into
+    a router memory, configuration A paying one memory recall per extra link.
+    """
     if n < 1:
         raise ValueError(f"n = {n!r} must be >= 1")
-    return fidelity_to_werner(profile.f_bsm) ** (n - 1) * link_werner(profile) ** n
-
-
-def transfer_werner(profile: ParameterProfile, config: Config, n: int) -> float:
-    """Werner weight of the transfer into a router memory (one segment end)."""
-    if n < 1:
-        raise ValueError(f"n = {n!r} must be >= 1")
-    w = (
+    w_bsm = fidelity_to_werner(profile.f_bsm)
+    w_afc = fidelity_to_werner(profile.f_afc)
+    w_src = fidelity_to_werner(profile.f_epps) * w_afc * fidelity_to_werner(profile.f_ffsmm)
+    w_link = w_bsm * w_src ** 2
+    w_transfer = (
         fidelity_to_werner(profile.f_buff)
         * fidelity_to_werner(profile.f_qfc)
         * fidelity_to_werner(profile.f_tb_pol)
         * fidelity_to_werner(profile.f_map)
     )
-    if config is Config.A:
-        w *= fidelity_to_werner(profile.f_afc) ** (n - 1)
-    return w
+    if config is _CONFIG_A:
+        w_transfer *= w_afc ** (n - 1)
+    return w_link, w_bsm ** (n - 1) * w_link ** n, w_transfer
+
+
+def link_werner(profile: ParameterProfile) -> float:
+    """Werner weight of one elementary pair: midpoint swap of two stored halves."""
+    return _pair_weights(profile, Config.B, 1)[0]
+
+
+def segment_werner(profile: ParameterProfile, n: int) -> float:
+    """Werner weight after swapping n links into one segment pair."""
+    return _pair_weights(profile, Config.B, n)[1]
+
+
+def transfer_werner(profile: ParameterProfile, config: Config, n: int) -> float:
+    """Werner weight of the transfer into a router memory (one segment end)."""
+    return _pair_weights(profile, config, n)[2]
 
 
 def _storage_factor(w_c13: float, tau_s: float, rate_per_s: float) -> float:
@@ -135,8 +142,8 @@ def router_pair_werner(
     tau_s: float,
 ) -> float:
     """Werner weight of a router-router pair after storage for tau_s."""
-    w = segment_werner(profile, n) * transfer_werner(profile, config, n) ** 2
-    return w * _storage_factor(
+    _, w_segment, w_transfer = _pair_weights(profile, config, n)
+    return w_segment * w_transfer ** 2 * _storage_factor(
         fidelity_to_werner(profile.f_c13), tau_s, profile.decoherence_rate_per_s
     )
 
@@ -147,9 +154,7 @@ def end_to_end_report(
     tau_s: float,
 ) -> WernerReport:
     """Full pipeline report for a routed chain of big_n segments."""
-    w_link = link_werner(profile)
-    w_segment = segment_werner(profile, design.n)
-    w_transfer = transfer_werner(profile, design.config, design.n)
+    w_link, w_segment, w_transfer = _pair_weights(profile, design.config, design.n)
     w_pair = w_segment * w_transfer ** 2
     storage = _storage_factor(
         fidelity_to_werner(profile.f_c13), tau_s, profile.decoherence_rate_per_s
@@ -162,17 +167,8 @@ def end_to_end_report(
     )
     w_end = w_pair_stored ** design.big_n * router_factor ** (design.big_n - 1)
     f_end = werner_to_fidelity(w_end)
-    return WernerReport(
-        w_link=w_link,
-        w_segment=w_segment,
-        w_transfer=w_transfer,
-        w_router_pair=w_pair,
-        w_router_pair_stored=w_pair_stored,
-        w_end_to_end=w_end,
-        fidelity=f_end,
-        qber=qber(f_end),
-        tau_s=tau_s,
-    )
+    return WernerReport(w_link, w_segment, w_transfer, w_pair, w_pair_stored, w_end,
+                        f_end, qber(f_end), tau_s)
 
 
 # Order of the stage-fidelity sequence consumed by compose_oracle: the profile's

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,6 +42,20 @@ class Config(enum.Enum):
     B = "B"
 
 
+# Python 3.11 reads a member through its enum class (Config.A) by way of the
+# metaclass's __getattr__ hook, several times slower than a module global;
+# the per-row code compares against these names instead.
+_CONFIG_A, _CONFIG_B = Config.A, Config.B
+
+
+def _python_scalar(value):
+    """The Python scalar a numpy scalar holds; any other value unchanged."""
+    numpy = sys.modules.get("numpy")
+    if numpy is not None and isinstance(value, numpy.generic):
+        return value.item()
+    return value
+
+
 @dataclass(frozen=True)
 class NetworkDesign:
     config: Config
@@ -51,6 +66,12 @@ class NetworkDesign:
     epsilon: float = 0.05  # per-window failure budget, in (0, 1)
 
     def __post_init__(self) -> None:
+        if not (type(self.ell_km) is float and type(self.n) is int and type(self.big_n) is int
+                and type(self.xi) is int and type(self.epsilon) is float):
+            # numpy's power kernels may round a last bit differently from Python's,
+            # so a numpy scalar field is stored as the Python scalar it holds.
+            for name in ("ell_km", "n", "big_n", "xi", "epsilon"):
+                object.__setattr__(self, name, _python_scalar(getattr(self, name)))
         if not isinstance(self.config, Config):
             raise DesignError(f"config must be Config.A or Config.B, got {self.config!r}")
         if not (math.isfinite(self.ell_km) and self.ell_km > 0):
@@ -68,7 +89,7 @@ class NetworkDesign:
             raise DesignError(f"xi = {self.xi!r} must be >= 2")
         if not 0.0 < self.epsilon < 1.0:
             raise DesignError(f"epsilon = {self.epsilon!r} must lie in (0, 1)")
-        if self.config is Config.B and self.n > self.xi:
+        if self.config is _CONFIG_B and self.n > self.xi:
             raise DesignError(
                 f"configuration B allows at most xi = {self.xi} links per segment, got n = {self.n}"
             )
@@ -100,12 +121,8 @@ def max_link_length(profile: ParameterProfile) -> float:
 def timings(design: NetworkDesign, profile: ParameterProfile) -> TimingReport:
     t_rt = design.ell_km / SIGNAL_VELOCITY_KM_PER_S
     t_arc = design.n * t_rt
-    return TimingReport(
-        t_rt=t_rt,
-        t_arc=t_arc,
-        t_trans=profile.t_c13 + t_arc + profile.t_cnot,
-        t_trans_tilde=profile.t_c13 + profile.t_cnot,
-    )
+    return TimingReport(t_rt, t_arc, profile.t_c13 + t_arc + profile.t_cnot,
+                        profile.t_c13 + profile.t_cnot)
 
 
 def resources(design: NetworkDesign) -> ResourceCount:

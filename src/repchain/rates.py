@@ -21,7 +21,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .network import SIGNAL_VELOCITY_KM_PER_S, Config, NetworkDesign, timings
+from .network import _CONFIG_A, SIGNAL_VELOCITY_KM_PER_S, Config, NetworkDesign, timings
 from .params import ParameterProfile
 
 __all__ = [
@@ -55,6 +55,11 @@ class Scenario(enum.Enum):
     NV_CHAIN = "nv-chain"
     ROUTED = "routed"
     ROUTED_NO_BUFFER = "routed-nobuffer"
+
+
+# The per-row code compares against module names, not Scenario.X (see network._CONFIG_A).
+_SEGMENT, _NV_CHAIN, _ROUTED, _ROUTED_NO_BUFFER = (
+    Scenario.SEGMENT, Scenario.NV_CHAIN, Scenario.ROUTED, Scenario.ROUTED_NO_BUFFER)
 
 
 class RateReport(NamedTuple):
@@ -122,7 +127,7 @@ def transfer_efficiency(
     eta = profile.eta_qfc_637 * profile.eta_pol * profile.eta_map * profile.eta_c13
     if include_buffer:
         eta *= profile.eta_buff
-    if config is Config.A:
+    if config is _CONFIG_A:
         eta *= profile.eta_afc ** (n - 1)
     return eta
 
@@ -137,8 +142,14 @@ def segment_success_prob(
     All n links succeed, the n-1 in-segment swaps succeed, and both ends
     transfer into their routers.
     """
+    return _segment_prob(profile, design, link_success_prob(profile, design.ell_km),
+                         include_buffer)
+
+
+def _segment_prob(profile: ParameterProfile, design: NetworkDesign, p_link: float,
+                  include_buffer: bool) -> float:
+    """segment_success_prob over a link success p_link its caller already holds."""
     eta = transfer_efficiency(profile, design.config, design.n, include_buffer)
-    p_link = link_success_prob(profile, design.ell_km)
     return _clip01(eta ** 2 * p_link ** design.n * profile.eta_bsm ** (design.n - 1))
 
 
@@ -159,16 +170,10 @@ def nv_attempt_rate(ell_km: float) -> float:
 
 def segment_rate(profile: ParameterProfile, design: NetworkDesign) -> RateReport:
     """Pair rate between the two routers of a single segment (no window)."""
-    p_seg = segment_success_prob(profile, design)
-    return RateReport(
-        scenario=Scenario.SEGMENT,
-        tau_s=None,
-        tau_clamped=False,
-        p_link=link_success_prob(profile, design.ell_km),
-        p_segment=p_seg,
-        rate_hz=attempt_rate(profile) * p_seg,
-        attempts_per_window=None,
-    )
+    p_link = link_success_prob(profile, design.ell_km)
+    p_seg = _segment_prob(profile, design, p_link, True)
+    return RateReport(_SEGMENT, None, False, p_link, p_seg,
+                      attempt_rate(profile) * p_seg, None)
 
 
 class WindowLaw(NamedTuple):
@@ -232,18 +237,30 @@ def window_success_prob(p_attempt: float, attempts: float) -> float:
 
 
 def window_law(scenario: Scenario, profile: ParameterProfile, design: NetworkDesign) -> WindowLaw:
-    """The one place that maps a windowed scenario to its window law."""
+    """The window law of a windowed scenario."""
+    return _window_law(scenario, profile, design)[0]
+
+
+def _window_law(
+    scenario: Scenario,
+    profile: ParameterProfile,
+    design: NetworkDesign,
+) -> tuple[WindowLaw, float]:
+    """The one place that maps a windowed scenario to its window law; also
+    returns the per-attempt link success the law was built from.
+    """
     t = timings(design, profile)
-    if scenario is Scenario.NV_CHAIN:
+    if scenario is _NV_CHAIN:
         p_link = nv_link_success_prob(profile, design.ell_km)
         return WindowLaw(nv_attempt_rate(design.ell_km), p_link, design.n, 0.5,
-                         t.t_trans_tilde, profile.t_nv)
-    if scenario is Scenario.ROUTED:
-        p_seg = segment_success_prob(profile, design)
-        return WindowLaw(attempt_rate(profile), p_seg, design.big_n, 1.0, t.t_trans, profile.t_nv)
-    if scenario is Scenario.ROUTED_NO_BUFFER:
-        p_seg = segment_success_prob(profile, design, include_buffer=False)
-        return WindowLaw(attempt_rate(profile), p_seg, design.big_n, 0.5, t.t_trans, profile.t_nv)
+                         t.t_trans_tilde, profile.t_nv), p_link
+    if scenario is _ROUTED or scenario is _ROUTED_NO_BUFFER:
+        # Without buffers a segment only attempts during half of the window.
+        buffered = scenario is _ROUTED
+        p_link = link_success_prob(profile, design.ell_km)
+        p_seg = _segment_prob(profile, design, p_link, buffered)
+        return WindowLaw(attempt_rate(profile), p_seg, design.big_n, 1.0 if buffered else 0.5,
+                         t.t_trans, profile.t_nv), p_link
     raise ValueError(f"scenario {scenario.value!r} has no window")
 
 
@@ -254,20 +271,12 @@ def _window_rate(
     tau_s: float | None,
 ) -> RateReport:
     """Rate report over the cutoff window, or over tau_s clamped into range."""
-    law = window_law(scenario, profile, design)
+    law, p_link = _window_law(scenario, profile, design)
     tau, clamped = law.cutoff(design.epsilon) if tau_s is None else law.clamp(tau_s)
     attempts = law.attempts(tau)
     p_window = window_success_prob(law.p_attempt, attempts)
-    return RateReport(
-        scenario=scenario,
-        tau_s=tau,
-        tau_clamped=clamped,
-        p_link=(law.p_attempt if scenario is Scenario.NV_CHAIN
-                else link_success_prob(profile, design.ell_km)),
-        p_segment=p_window,
-        rate_hz=p_window ** law.stations / tau,
-        attempts_per_window=attempts,
-    )
+    return RateReport(scenario, tau, clamped, p_link, p_window,
+                      p_window ** law.stations / tau, attempts)
 
 
 def nv_cutoff_time(profile: ParameterProfile, design: NetworkDesign) -> tuple[float, bool]:
@@ -281,7 +290,7 @@ def nv_chain_rate(
     tau_s: float | None = None,
 ) -> RateReport:
     """Window-rate lower bound for a chain of n spin-photon links."""
-    return _window_rate(Scenario.NV_CHAIN, profile, design, tau_s)
+    return _window_rate(_NV_CHAIN, profile, design, tau_s)
 
 
 def routed_cutoff_time(profile: ParameterProfile, design: NetworkDesign) -> tuple[float, bool]:
@@ -295,7 +304,7 @@ def routed_rate(
     tau_s: float | None = None,
 ) -> RateReport:
     """Window-rate lower bound for the buffered routed chain of big_n segments."""
-    return _window_rate(Scenario.ROUTED, profile, design, tau_s)
+    return _window_rate(_ROUTED, profile, design, tau_s)
 
 
 def no_buffer_cutoff_time(profile: ParameterProfile, design: NetworkDesign) -> tuple[float, bool]:
@@ -315,7 +324,7 @@ def routed_rate_no_buffer(
     dividing the buffered value) and each segment only attempts during half
     of the window.
     """
-    return _window_rate(Scenario.ROUTED_NO_BUFFER, profile, design, tau_s)
+    return _window_rate(_ROUTED_NO_BUFFER, profile, design, tau_s)
 
 
 def scenario_rate(
@@ -325,10 +334,10 @@ def scenario_rate(
     tau_s: float | None = None,
 ) -> RateReport:
     """Rate report of any scenario; tau_s applies to the windowed scenarios only."""
-    if scenario is Scenario.SEGMENT:
+    if scenario is _SEGMENT:
         return segment_rate(profile, design)
-    if scenario is Scenario.NV_CHAIN:
+    if scenario is _NV_CHAIN:
         return nv_chain_rate(profile, design, tau_s)
-    if scenario is Scenario.ROUTED:
+    if scenario is _ROUTED:
         return routed_rate(profile, design, tau_s)
     return routed_rate_no_buffer(profile, design, tau_s)

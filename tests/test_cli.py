@@ -430,6 +430,24 @@ def test_profile_file_sets_era_column(capsys, tmp_path):
     assert float(fields[9]) > 690866.1119378718  # better swap than built-in long
 
 
+@pytest.mark.parametrize("stem", ["a,b", 'q"x'])
+@pytest.mark.parametrize("command", [
+    ["rate", "--scenario", "segment"],
+    ["fidelity"],
+    ["sweep", "--scenario", "routed", "--axis", "n", "--start", "1", "--stop", "2", "--step", "1"],
+])
+def test_profile_stem_a_csv_cell_cannot_carry_exits_2(capsys, tmp_path, stem, command):
+    # The era label is the profile file's stem; a comma or a quote in it would
+    # shift or open a CSV field, so the row is refused, naming the label.
+    path = tmp_path / f"{stem}.txt"
+    path.write_text("base = near\n", encoding="utf-8")
+    code, out, err = run(capsys, command + ["--profile", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: era label ")
+    assert repr(stem) in err
+
+
 @pytest.mark.parametrize("lines, field", [
     ("t_nv = inf\nalpha_db_per_km = nan\n", "t_nv"),
     ("alpha_db_per_km = nan\n", "alpha_db_per_km"),

@@ -1,13 +1,17 @@
 import ast
+import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import repchain
 from repchain import (
     CSV_HEADER,
     Config,
     McOptions,
+    NetworkDesign,
     Scenario,
     Study,
     SweepError,
@@ -19,7 +23,7 @@ from repchain import (
     run_study,
     write_csv,
 )
-from repchain.experiments import MAX_SWEEP_POINTS
+from repchain.experiments import MAX_SWEEP_POINTS, fidelity_row, rate_row
 
 EXPECTED_HEADER = (
     "scenario,era,config,n,N,ell_km,total_km,tau_s,tau_clamped,"
@@ -141,11 +145,114 @@ def test_write_csv_uses_lf_only(profiles, tmp_path):
     assert data.decode("utf-8").splitlines()[0] == EXPECTED_HEADER
 
 
+def _parse_cell(cell: str, like):
+    """Read a CSV cell back as the type of the row value it was written from."""
+    if cell == "":
+        return None
+    if isinstance(like, bool):
+        assert cell in ("true", "false"), cell
+        return cell == "true"
+    if isinstance(like, float):
+        return float(cell)
+    if isinstance(like, int):
+        return int(cell)
+    return cell
+
+
 def test_float_fields_round_trip_via_repr(profiles):
-    rows, _ = run_study(Study.RATE_VS_LINKS, profiles)
-    line = rows_to_csv(rows).splitlines()[1]
-    rate_field = line.split(",")[9]
-    assert float(rate_field) == rows[0].rate_hz
+    # Every cell of every row of every study, in both eras, parses back to the
+    # row's own value; floats to the same bits, so repr kept every digit.
+    for study in Study:
+        rows, _ = run_study(study, profiles)
+        assert {row.era for row in rows} == {"near", "long"}
+        lines = rows_to_csv(rows).splitlines()[1:]
+        assert len(lines) == len(rows)
+        for row, line in zip(rows, lines):
+            cells = line.split(",")
+            assert len(cells) == len(SweepRow._fields)
+            for name, value, cell in zip(SweepRow._fields, row, cells):
+                parsed = _parse_cell(cell, value)
+                assert type(parsed) is type(value), (study, name, cell, value)
+                if isinstance(value, float):
+                    assert parsed.hex() == value.hex(), (study, name, cell, value)
+                else:
+                    assert parsed == value, (study, name, cell, value)
+
+
+class _TaggedFloat(float):
+    """A float subclass whose repr is not its float digits."""
+
+    def __repr__(self) -> str:
+        return f"_TaggedFloat({float(self)!r})"
+
+
+def _reference_cell(value) -> str:
+    # The cell rules, one isinstance at a time: empty for None, lower-case bools,
+    # floats by the repr of their float value, everything else by str. A numpy
+    # scalar is written as the Python scalar it holds.
+    if isinstance(value, np.generic):
+        value = value.item()
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1e16, 1e-7]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(0, 2**64 - 1),
+    _FLOATS,
+    _FLOATS.map(_TaggedFloat),
+    _FLOATS.map(np.float64),
+    st.booleans().map(np.bool_),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.text(),
+)
+
+
+@given(st.lists(st.tuples(*[_CELLS] * len(SweepRow._fields)), max_size=4))
+def test_rows_to_csv_matches_the_reference_cell_rules(cells):
+    rows = [SweepRow(*row) for row in cells]
+    expected = "".join(
+        ",".join(_reference_cell(value) for value in row) + "\n" for row in rows)
+    assert rows_to_csv(rows) == CSV_HEADER + "\n" + expected
+
+
+@pytest.mark.parametrize("scenario", [*Scenario, None], ids=lambda s: s.value if s else "fidelity")
+def test_numpy_scalar_inputs_write_python_scalar_bytes(near, scenario):
+    # A design and window built from numpy scalars give the same CSV bytes as
+    # Python scalars: numpy floats print their float digits, not np.float64(...).
+    for ell, n, big_n, tau in itertools.product((20.0, 37.5), (1, 2), (1, 3), (None, 0.05)):
+        plain = NetworkDesign(Config.A, ell, n, big_n)
+        numpy_design = NetworkDesign(Config.A, np.float64(ell), np.int64(n), np.int64(big_n))
+        numpy_tau = None if tau is None else np.float64(tau)
+        if scenario is None:
+            expected = fidelity_row("near", near, plain, tau)
+            got = fidelity_row("near", near, numpy_design, numpy_tau)
+        else:
+            expected = rate_row("near", near, plain, scenario, tau)
+            got = rate_row("near", near, numpy_design, scenario, numpy_tau)
+        assert rows_to_csv([got]) == rows_to_csv([expected]), (ell, n, big_n, tau)
+    row = rate_row("near", near, NetworkDesign(Config.A, np.float64(20.0), 2, 1), Scenario.ROUTED)
+    assert rows_to_csv([row]).splitlines()[1].split(",")[5:7] == ["20.0", "40.0"]
+
+
+@pytest.mark.parametrize("era", ["a,b", 'q"x', "cr\rlabel", "lf\nlabel"])
+def test_era_label_a_csv_cell_cannot_carry_is_rejected(near, era):
+    design = NetworkDesign(Config.A, 20.0, 1, 2)
+    for make in (lambda: rate_row(era, near, design, Scenario.ROUTED),
+                 lambda: fidelity_row(era, near, design),
+                 lambda: run_custom(SweepSpec(Scenario.SEGMENT, ((era, near),), "n", 1, 2, 1))):
+        with pytest.raises(ValueError, match="era label " + repr(era).replace("\\", "\\\\")):
+            make()
 
 
 def test_run_custom_counts_and_hidden_columns(profiles):
