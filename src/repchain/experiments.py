@@ -152,19 +152,23 @@ def write_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     Path(path).write_text(rows_to_csv(rows), encoding="utf-8", newline="\n")
 
 
-def _row(label: str, era: str, design: NetworkDesign, scenario: Scenario | None,
-         tau_s: float | None = None, tau_clamped: bool | None = None,
-         rate_hz: float | None = None, fidelity: float | None = None,
-         est: McEstimate | None = None) -> SweepRow:
-    """The one row constructor; scenario None is a single link (micro-link).
+def _check_era_label(era: str) -> None:
+    """Reject an era label holding a comma, a double quote or a line break.
 
-    The era label is written unquoted, so one holding a comma, a double quote
-    or a line break is rejected.
+    The label is written unquoted, so each row entry point checks it before
+    any work; the study eras are fixed names.
     """
     if "," in era or '"' in era or "\n" in era or "\r" in era:
         raise ValueError(
             f"era label {era!r} holds a comma, a double quote or a line break, "
             f"which a CSV cell cannot carry unquoted")
+
+
+def _row(label: str, era: str, design: NetworkDesign, scenario: Scenario | None,
+         tau_s: float | None = None, tau_clamped: bool | None = None,
+         rate_hz: float | None = None, fidelity: float | None = None,
+         est: McEstimate | None = None) -> SweepRow:
+    """The one row constructor; scenario None is a single link (micro-link)."""
     routed = scenario in ROUTED_SCENARIOS
     n = design.n if scenario is not None else 1
     # Enum members keep their value in _value_; reading it skips the .value descriptor.
@@ -191,6 +195,7 @@ def rate_row(
 
     With MC on, segment probabilities are scaled to rates by the attempt rate.
     """
+    _check_era_label(era)
     report = scenario_rate(scenario, profile, design, tau_s)
     est = None
     if mc.enabled:
@@ -217,6 +222,7 @@ def simulate_row(
     over tau_s as given (unclamped, tau_clamped empty) or, by default, over the
     clamped cutoff window.
     """
+    _check_era_label(era)
     scenario = _MODE_SCENARIOS.get(cfg.mode)
     tau = clamped = rate_ref = None
     if scenario not in (None, Scenario.SEGMENT):
@@ -239,6 +245,7 @@ def fidelity_row(
     tau_s defaults to the routed chain's cutoff window, with its clamp flag;
     an explicit tau_s leaves the flag empty.
     """
+    _check_era_label(era)
     tau_s, tau_clamped = routed_cutoff_time(profile, design) if tau_s is None else (tau_s, None)
     report = end_to_end_report(profile, design, tau_s)
     return _row("fidelity-end-to-end", era, design, Scenario.ROUTED, tau_s=tau_s,

@@ -87,25 +87,47 @@ def decohere(
     return w * math.exp(-rate_per_s * tau_s)
 
 
-def _pair_weights(profile: ParameterProfile, config: Config, n: int) -> tuple[float, float, float]:
-    """Werner weights (w_link, w_segment, w_transfer) before storage, each stage once.
+class _StageWeights(NamedTuple):
+    """The Werner weights that depend on the profile alone."""
 
-    An elementary pair is the midpoint swap of two stored halves; n of them
-    are swapped into one segment pair; each segment end then transfers into
-    a router memory, configuration A paying one memory recall per extra link.
+    bsm: float
+    afc: float
+    link: float      # one elementary pair: the midpoint swap of two stored halves
+    transfer: float  # the four stages moving one segment end into a router memory
+    c13: float
+    cnot: float
+    rout: float
+
+
+def _profile_weights(profile: ParameterProfile) -> _StageWeights:
+    """The profile's stage weights, each stage once.
+
+    Profiles memoize the result as ParameterProfile._werner_weights; read it there.
     """
-    if n < 1:
-        raise ValueError(f"n = {n!r} must be >= 1")
     w_bsm = fidelity_to_werner(profile.f_bsm)
     w_afc = fidelity_to_werner(profile.f_afc)
     w_src = fidelity_to_werner(profile.f_epps) * w_afc * fidelity_to_werner(profile.f_ffsmm)
-    w_link = w_bsm * w_src ** 2
     w_transfer = (
         fidelity_to_werner(profile.f_buff)
         * fidelity_to_werner(profile.f_qfc)
         * fidelity_to_werner(profile.f_tb_pol)
         * fidelity_to_werner(profile.f_map)
     )
+    return _StageWeights(w_bsm, w_afc, w_bsm * w_src ** 2, w_transfer,
+                         fidelity_to_werner(profile.f_c13), fidelity_to_werner(profile.f_cnot),
+                         fidelity_to_werner(profile.f_rout))
+
+
+def _pair_weights(profile: ParameterProfile, config: Config, n: int) -> tuple[float, float, float]:
+    """Werner weights (w_link, w_segment, w_transfer) before storage.
+
+    n links are swapped into one segment pair; each segment end then
+    transfers into a router memory, configuration A paying one memory recall
+    per extra link.
+    """
+    if n < 1:
+        raise ValueError(f"n = {n!r} must be >= 1")
+    w_bsm, w_afc, w_link, w_transfer, _, _, _ = profile._werner_weights
     if config is _CONFIG_A:
         w_transfer *= w_afc ** (n - 1)
     return w_link, w_bsm ** (n - 1) * w_link ** n, w_transfer
@@ -144,7 +166,7 @@ def router_pair_werner(
     """Werner weight of a router-router pair after storage for tau_s."""
     _, w_segment, w_transfer = _pair_weights(profile, config, n)
     return w_segment * w_transfer ** 2 * _storage_factor(
-        fidelity_to_werner(profile.f_c13), tau_s, profile.decoherence_rate_per_s
+        profile._werner_weights.c13, tau_s, profile.decoherence_rate_per_s
     )
 
 
@@ -155,16 +177,12 @@ def end_to_end_report(
 ) -> WernerReport:
     """Full pipeline report for a routed chain of big_n segments."""
     w_link, w_segment, w_transfer = _pair_weights(profile, design.config, design.n)
+    weights = profile._werner_weights
     w_pair = w_segment * w_transfer ** 2
-    storage = _storage_factor(
-        fidelity_to_werner(profile.f_c13), tau_s, profile.decoherence_rate_per_s
-    )
+    storage = _storage_factor(weights.c13, tau_s, profile.decoherence_rate_per_s)
     w_pair_stored = w_pair * storage
-    router_factor = (
-        storage
-        * fidelity_to_werner(profile.f_cnot)
-        * fidelity_to_werner(profile.f_rout)
-    )
+    # Left to right: grouping cnot * rout first moves the last bit of some fidelities.
+    router_factor = storage * weights.cnot * weights.rout
     w_end = w_pair_stored ** design.big_n * router_factor ** (design.big_n - 1)
     f_end = werner_to_fidelity(w_end)
     return WernerReport(w_link, w_segment, w_transfer, w_pair, w_pair_stored, w_end,

@@ -56,7 +56,7 @@ def _python_scalar(value):
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NetworkDesign:
     config: Config
     ell_km: float        # elementary link length
@@ -65,34 +65,44 @@ class NetworkDesign:
     xi: int = 2          # link shortening factor, configuration B only
     epsilon: float = 0.05  # per-window failure budget, in (0, 1)
 
-    def __post_init__(self) -> None:
-        if not (type(self.ell_km) is float and type(self.n) is int and type(self.big_n) is int
-                and type(self.xi) is int and type(self.epsilon) is float):
+    # Checks the arguments as locals, then stores them straight into the
+    # instance dict: a generated frozen __init__ pays one object.__setattr__
+    # per field plus a __post_init__ call.
+    def __init__(self, config: Config, ell_km: float, n: int, big_n: int,
+                 xi: int = 2, epsilon: float = 0.05) -> None:
+        if not (type(ell_km) is float and type(n) is int and type(big_n) is int
+                and type(xi) is int and type(epsilon) is float):
             # numpy's power kernels may round a last bit differently from Python's,
             # so a numpy scalar field is stored as the Python scalar it holds.
-            for name in ("ell_km", "n", "big_n", "xi", "epsilon"):
-                object.__setattr__(self, name, _python_scalar(getattr(self, name)))
-        if not isinstance(self.config, Config):
-            raise DesignError(f"config must be Config.A or Config.B, got {self.config!r}")
-        if not (math.isfinite(self.ell_km) and self.ell_km > 0):
-            raise DesignError(f"ell_km = {self.ell_km!r} must be finite and > 0")
-        if self.n < 1:
-            raise DesignError(f"n = {self.n!r} must be >= 1")
-        if self.big_n < 1:
-            raise DesignError(f"big_n = {self.big_n!r} must be >= 1")
-        if not math.isfinite(self.big_n * self.n * self.ell_km):
+            ell_km, n, big_n, xi, epsilon = map(_python_scalar, (ell_km, n, big_n, xi, epsilon))
+        if not isinstance(config, Config):
+            raise DesignError(f"config must be Config.A or Config.B, got {config!r}")
+        if not (math.isfinite(ell_km) and ell_km > 0):
+            raise DesignError(f"ell_km = {ell_km!r} must be finite and > 0")
+        if n < 1:
+            raise DesignError(f"n = {n!r} must be >= 1")
+        if big_n < 1:
+            raise DesignError(f"big_n = {big_n!r} must be >= 1")
+        if not math.isfinite(big_n * n * ell_km):
             raise DesignError(
-                f"ell_km = {self.ell_km!r} over big_n * n = {self.big_n * self.n} links "
+                f"ell_km = {ell_km!r} over big_n * n = {big_n * n} links "
                 f"gives a non-finite total length"
             )
-        if self.xi < 2:
-            raise DesignError(f"xi = {self.xi!r} must be >= 2")
-        if not 0.0 < self.epsilon < 1.0:
-            raise DesignError(f"epsilon = {self.epsilon!r} must lie in (0, 1)")
-        if self.config is _CONFIG_B and self.n > self.xi:
+        if xi < 2:
+            raise DesignError(f"xi = {xi!r} must be >= 2")
+        if not 0.0 < epsilon < 1.0:
+            raise DesignError(f"epsilon = {epsilon!r} must lie in (0, 1)")
+        if config is _CONFIG_B and n > xi:
             raise DesignError(
-                f"configuration B allows at most xi = {self.xi} links per segment, got n = {self.n}"
+                f"configuration B allows at most xi = {xi} links per segment, got n = {n}"
             )
+        fields = self.__dict__
+        fields["config"] = config
+        fields["ell_km"] = ell_km
+        fields["n"] = n
+        fields["big_n"] = big_n
+        fields["xi"] = xi
+        fields["epsilon"] = epsilon
 
 
 class TimingReport(NamedTuple):

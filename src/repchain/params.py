@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,6 +90,17 @@ class ParameterProfile:
     f_rout: float
     decoherence_rate_per_s: float = DEFAULT_DECOHERENCE_RATE_PER_S
 
+    @functools.cached_property
+    def _werner_weights(self):
+        """Profile-only Werner stage weights, computed on first use and kept.
+
+        Not a field: equality, hashing, repr and dataclasses.replace ignore it,
+        so a replaced profile computes its own.
+        """
+        from .fidelity import _profile_weights  # fidelity imports this module
+
+        return _profile_weights(self)
+
 
 _EFFICIENCY_FIELDS = (
     "eta_nv", "eta_c13", "eta_qfc_1588", "eta_epps", "eta_afc", "eta_shift",
@@ -102,6 +115,9 @@ _NONNEGATIVE_FIELDS = ("alpha_db_per_km", "decoherence_rate_per_s")
 _COUNT_FIELDS = ("gamma_t", "gamma_f")
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ParameterProfile))
+_FIELD_SET = frozenset(_FIELD_NAMES)
+# The field values of a profile, in declaration order.
+_FIELD_VALUES = operator.attrgetter(*_FIELD_NAMES)
 
 # Long-term fidelities double as the ideal column, which has no published values.
 _FID_NEAR = dict(
@@ -212,21 +228,23 @@ def load_profile(path: str | Path) -> ParameterProfile:
     """Load a profile file: `key = value` lines over a mandatory base era.
 
     Missing keys inherit from the base era profile; unknown keys are rejected;
-    the resulting profile is validated before being returned.
+    the resulting profile is validated before being returned. A UTF-8 byte
+    order mark at the start of the file is skipped.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    # splitlines ends a line at \r\n, \r or \n alike, so the bytes need no
+    # newline translation; utf-8-sig drops a leading byte order mark. One
+    # unbuffered read of the whole file skips the buffer and its tty probe.
+    with open(path, "rb", buffering=0) as handle:
+        lines = handle.read().decode("utf-8-sig").splitlines()
     base: Era | None = None
     overrides: dict[str, float | int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ProfileParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
+    for lineno, raw in enumerate(lines, start=1):
+        key, sep, value = raw.partition("#")[0].partition("=")
         key = key.strip()
         value = value.strip()
-        if not key or not value:
+        if not (key and value):
+            if not (sep or key or value):
+                continue  # a blank or comment-only line
             raise ProfileParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
         if key == "base":
             if base is not None:
@@ -238,15 +256,17 @@ def load_profile(path: str | Path) -> ParameterProfile:
                     f"line {lineno}: base must be near, long, or ideal, got {value!r}"
                 ) from None
             continue
-        if key not in _FIELD_NAMES:
+        if key not in _FIELD_SET:
             raise ProfileParseError(f"line {lineno}: unknown key {key!r}")
         if key in overrides:
             raise ProfileParseError(f"line {lineno}: duplicate key {key!r}")
         overrides[key] = _parse_value(key, value, lineno)
     if base is None:
         raise ProfileParseError("missing mandatory 'base = near|long|ideal' line")
-    profile = dataclasses.replace(builtin_profile(base), **overrides)
-    return validate_profile(profile)
+    values = _FIELD_VALUES(_BUILTIN[base])
+    if overrides:
+        values = [overrides.get(name, value) for name, value in zip(_FIELD_NAMES, values)]
+    return validate_profile(ParameterProfile(*values))
 
 
 def serialize_profile(profile: ParameterProfile) -> str:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -448,6 +449,40 @@ def test_profile_stem_a_csv_cell_cannot_carry_exits_2(capsys, tmp_path, stem, co
     assert repr(stem) in err
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--mode", "micro-link"],
+    ["simulate", "--mode", "window-routed"],
+    ["sweep", "--scenario", "routed", "--axis", "n", "--start", "1", "--stop", "2",
+     "--step", "1", "--with-mc"],
+])
+def test_bad_era_label_is_refused_before_any_estimate(capsys, tmp_path, monkeypatch, command):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran before the era label was checked")
+
+    monkeypatch.setattr("repchain.experiments.simulate_scenario", no_estimate)
+    path = tmp_path / "a,b.txt"
+    path.write_text("base = near\n", encoding="utf-8")
+    code, out, err = run(capsys, command + ["--profile", str(path), "--trials", "4000000"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: era label 'a,b' ")
+
+
+def test_profile_file_with_utf8_bom_is_read(capsys, tmp_path):
+    plain = tmp_path / "plain" / "lab.profile"
+    bom = tmp_path / "bom" / "lab.profile"
+    for path, prefix in ((plain, b""), (bom, b"\xef\xbb\xbf")):
+        path.parent.mkdir()
+        path.write_bytes(prefix + b"base = long\r\neta_bsm = 0.6\r\n")
+    rows = []
+    for path in (plain, bom):
+        code, out, err = run(capsys, ["rate", "--scenario", "segment", "--profile", str(path)])
+        assert (code, err) == (0, "")
+        rows.append(out)
+    assert rows[0] == rows[1]
+    assert parse_row(rows[1])[1] == "lab"
+
+
 @pytest.mark.parametrize("lines, field", [
     ("t_nv = inf\nalpha_db_per_km = nan\n", "t_nv"),
     ("alpha_db_per_km = nan\n", "alpha_db_per_km"),
@@ -491,6 +526,26 @@ def test_reproduce_fidelity_near(capsys, tmp_path):
     lines = out_path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 19
     assert lines[0] == HEADER
+
+
+# sha256 of `reproduce --study S --era both` without Monte Carlo. A change that
+# moves any byte of these CSVs must say so; re-record only for an intended change.
+_GOLDEN_CSV_SHA256 = {
+    "rate-vs-links": "c7684a417afd11fb7332632ff7bfbfeea44d96e9a69ad62b34374219ecc744da",
+    "rate-vs-routers": "0c3bfe5227de8fecdf2caf0bb650f0e8d312951278bde9433af12201549b1444",
+    "config-compare": "6ccd8a1dd5318887002bbaa6eb20fc320f406e00459f097aabf9773497e1be80",
+    "cutoff-window": "8f50b2f030c7d3600aaa87ba3c279b556752438a4bfcd164de6fea19ca947979",
+    "fidelity": "845dd0e92399646cb6c8cd14fef92196f684c6f73b4426c0514d9270af7ac7c6",
+}
+
+
+@pytest.mark.parametrize("study", sorted(_GOLDEN_CSV_SHA256))
+def test_reproduce_csv_bytes_are_golden(capsys, tmp_path, study):
+    out_path = tmp_path / f"{study}.csv"
+    code, out, _ = run(capsys, ["reproduce", "--study", study, "--era", "both",
+                                "--out", str(out_path)])
+    assert (code, out) == (0, "")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == _GOLDEN_CSV_SHA256[study]
 
 
 def test_reproduce_reports_failed_checks_but_exits_zero(capsys, tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repchain import (
     Config,
@@ -200,3 +201,68 @@ def test_compose_oracle_rejects_bad_inputs(near):
         compose_oracle(stages, math.nan, 1, 2, Config.A)
     with pytest.raises(ValueError):
         compose_oracle(stages, 0.0, 0, 1, Config.A)
+
+
+def _oracle(profile, design, tau):
+    return compose_oracle(profile_stage_fidelities(profile), tau, design.n, design.big_n,
+                          design.config, decoherence_rate_per_s=profile.decoherence_rate_per_s)
+
+
+def test_replaced_profile_gets_fresh_stage_weights(near):
+    used = dataclasses.replace(near)
+    design = NetworkDesign(Config.A, 20.0, 2, 3)
+    before = end_to_end_report(used, design, 0.05)
+    router_pair_werner(used, Config.A, 2, 0.05)
+    changed = dataclasses.replace(used, f_bsm=0.9)
+    after = end_to_end_report(changed, design, 0.05)
+    assert after.fidelity != before.fidelity
+    assert abs(after.fidelity - _oracle(changed, design, 0.05)) < 1e-12
+    w_src = (fidelity_to_werner(near.f_epps) * fidelity_to_werner(near.f_afc)
+             * fidelity_to_werner(near.f_ffsmm))
+    assert link_werner(changed) == fidelity_to_werner(0.9) * w_src ** 2
+    # The first profile still reads its own weights.
+    assert end_to_end_report(used, design, 0.05) == before
+
+
+def test_used_profile_keeps_its_dataclass_surface(near):
+    used = dataclasses.replace(near)
+    end_to_end_report(used, NetworkDesign(Config.B, 10.0, 2, 2), 0.01)
+    assert used == near and hash(used) == hash(near) and repr(used) == repr(near)
+    assert list(dataclasses.asdict(used)) == [f.name for f in dataclasses.fields(used)]
+    assert dataclasses.replace(used, f_rout=0.9) == dataclasses.replace(near, f_rout=0.9)
+
+
+_stage = st.floats(0.25, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stages=st.tuples(*[_stage] * len(STAGE_ORDER)), rate=st.floats(0.0, 10.0),
+       n=st.integers(1, 4), big_n=st.integers(1, 4), config=st.sampled_from(list(Config)),
+       tau=st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+def test_end_to_end_report_matches_oracle_on_random_profiles(stages, rate, n, big_n, config,
+                                                            tau):
+    profile = dataclasses.replace(builtin_profile("near"), decoherence_rate_per_s=rate,
+                                  **dict(zip(STAGE_ORDER, stages)))
+    design = NetworkDesign(config, 5.0, n, big_n, xi=max(2, n))
+    first = end_to_end_report(profile, design, tau)
+    assert abs(first.fidelity - _oracle(profile, design, tau)) < 1e-12
+    assert end_to_end_report(profile, design, tau) == first
+
+
+@pytest.mark.parametrize("value", [1.5, 0.2, math.nan])
+@pytest.mark.parametrize("field", STAGE_ORDER)
+def test_unvalidated_stage_fidelity_raises_from_every_werner_entry(near, field, value):
+    bad = dataclasses.replace(near, **{field: value})
+    design = NetworkDesign(Config.A, 20.0, 2, 2)
+    entries = (
+        lambda: link_werner(bad),
+        lambda: segment_werner(bad, 2),
+        lambda: transfer_werner(bad, Config.A, 2),
+        lambda: router_pair_werner(bad, Config.A, 2, 0.0),
+        lambda: end_to_end_report(bad, design, 0.1),
+    )
+    for _attempt in range(2):  # a failed computation leaves nothing behind
+        for call in entries:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"fidelity {value!r} outside [0.25, 1]"

@@ -2,12 +2,16 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repchain import (
+    Config,
     Era,
+    NetworkDesign,
     ParameterValidationError,
     ProfileParseError,
     builtin_profile,
+    end_to_end_report,
     load_profile,
     serialize_profile,
     validate_profile,
@@ -194,3 +198,122 @@ def test_load_profile_rejects_fractional_count(tmp_path):
     path.write_text("base = near\ngamma_t = 27.5\n", encoding="utf-8")
     with pytest.raises(ParameterValidationError, match="gamma_t"):
         load_profile(path)
+
+
+# Each malformed file and the exception it gives, message and line number included.
+_MALFORMED = [
+    ("base = near\nnot a key value line\n", ProfileParseError,
+     "line 2: expected 'key = value', got 'not a key value line'"),
+    ("base = near\n= 0.5\n", ProfileParseError, "line 2: expected 'key = value', got '= 0.5'"),
+    ("base = near\n=\n", ProfileParseError, "line 2: expected 'key = value', got '='"),
+    ("base = near\neta_bsm =\n", ProfileParseError,
+     "line 2: expected 'key = value', got 'eta_bsm ='"),
+    ("base = near\neta_bsm = # only a comment\n", ProfileParseError,
+     "line 2: expected 'key = value', got 'eta_bsm = # only a comment'"),
+    ("base = near\nbase = long\n", ProfileParseError, "line 2: duplicate 'base' line"),
+    ("base = near\nbase = someday\n", ProfileParseError, "line 2: duplicate 'base' line"),
+    ("base = someday\n", ProfileParseError,
+     "line 1: base must be near, long, or ideal, got 'someday'"),
+    ("eta_bsm = 0.6\n", ProfileParseError, "missing mandatory 'base = near|long|ideal' line"),
+    ("", ProfileParseError, "missing mandatory 'base = near|long|ideal' line"),
+    ("# only = a comment\n\n", ProfileParseError,
+     "missing mandatory 'base = near|long|ideal' line"),
+    ("base = near\neta_warp = 0.9\n", ProfileParseError, "line 2: unknown key 'eta_warp'"),
+    ("base = near\neta_bsm = 0.6\nBASE = long\n", ProfileParseError,
+     "line 3: unknown key 'BASE'"),
+    ("base = near\neta_bsm = 0.5\neta_bsm = 0.6\n", ProfileParseError,
+     "line 3: duplicate key 'eta_bsm'"),
+    ("base = near\neta_bsm = 0.5\neta_bsm = bad\n", ProfileParseError,
+     "line 3: duplicate key 'eta_bsm'"),
+    ("base = near\neta_bsm = high\n", ProfileParseError,
+     "line 2: value for eta_bsm is not a number: 'high'"),
+    ("base = near\neta_bsm = 0.5 = 3\n", ProfileParseError,
+     "line 2: value for eta_bsm is not a number: '0.5 = 3'"),
+    ("base = near\ngamma_t = many\n", ProfileParseError,
+     "line 2: value for gamma_t is not a number: 'many'"),
+    ("base = near\ngamma_t = 27.5\n", ParameterValidationError,
+     "gamma_t = 27.5 must be a nonnegative integer"),
+    ("base = near\ngamma_t = -3\n", ParameterValidationError,
+     "gamma_t = -3 must be a nonnegative integer"),
+    ("base = near\ngamma_f = inf\n", ParameterValidationError,
+     "gamma_f = inf must be a nonnegative integer"),
+    ("base = near\neta_bsm = 1.7\n", ParameterValidationError, "eta_bsm = 1.7 outside [0, 1]"),
+    ("\n# c\nbase = near\n\nbogus\n", ProfileParseError,
+     "line 5: expected 'key = value', got 'bogus'"),
+    ("base = near\r\nbroken line\r\n", ProfileParseError,
+     "line 2: expected 'key = value', got 'broken line'"),
+    # A form feed ends a line, as str.splitlines has it.
+    ("base = near\x0ceta_bsm = x\n", ProfileParseError,
+     "line 2: value for eta_bsm is not a number: 'x'"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", _MALFORMED,
+                         ids=[f"case{i}" for i in range(len(_MALFORMED))])
+def test_load_profile_rejects_malformed_file(tmp_path, text, error, message):
+    path = tmp_path / "bad.profile"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(error) as info:
+        load_profile(path)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    "# lab tweak = none\nbase = long   # inherit the long era\n\n  \t\neta_bsm=0.6#x\n"
+    "  gamma_f =   400  \n",
+    "base = long\r\neta_bsm = 0.6\r\n\r\ngamma_f = 4e2\r\n",
+    "﻿base = long\neta_bsm = 0.6\ngamma_f = 400\n",
+], ids=["comments-and-blank-lines", "crlf", "bom"])
+def test_load_profile_reads_comments_blank_lines_crlf_and_bom(tmp_path, long_term, text):
+    path = tmp_path / "tweak.profile"
+    path.write_bytes(text.encode("utf-8"))
+    prof = load_profile(path)
+    assert prof == dataclasses.replace(long_term, eta_bsm=0.6, gamma_f=400)
+    assert type(prof.gamma_f) is int
+
+
+def test_load_profile_accepts_utf8_bom(tmp_path, near):
+    path = tmp_path / "bom.profile"
+    path.write_bytes(b"\xef\xbb\xbfbase = near\neta_bsm = 0.4\n")
+    assert load_profile(path) == dataclasses.replace(near, eta_bsm=0.4)
+
+
+def test_load_profile_starts_from_an_unused_builtin(tmp_path, near):
+    # The built-in era may carry memoized weights; a loaded profile is built from fields only.
+    end_to_end_report(near, NetworkDesign(Config.A, 20.0, 1, 2), 0.1)
+    path = tmp_path / "plain.profile"
+    path.write_text("base = near\n", encoding="utf-8")
+    assert load_profile(path) == near
+
+
+_positive = st.floats(1e-9, 1e9, allow_nan=False)
+
+
+@st.composite
+def _any_valid_profile(draw):
+    values = {}
+    for field in dataclasses.fields(ParameterProfile):
+        name = field.name
+        if name.startswith("eta_"):
+            values[name] = draw(st.floats(0.0, 1.0))
+        elif name.startswith("f_"):
+            values[name] = draw(st.floats(0.25, 1.0))
+        elif name.startswith("gamma_"):
+            values[name] = draw(st.integers(0, 10**6))
+        elif name in ("alpha_db_per_km", "decoherence_rate_per_s"):
+            values[name] = draw(st.floats(0.0, 10.0))
+        else:
+            values[name] = draw(_positive)
+    return ParameterProfile(**values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(profile=_any_valid_profile())
+def test_serialize_then_load_is_identity(tmp_path_factory, profile):
+    path = tmp_path_factory.mktemp("round") / "profile.txt"
+    path.write_text(serialize_profile(profile), encoding="utf-8")
+    loaded = load_profile(path)
+    assert loaded == profile
+    assert [type(getattr(loaded, f.name)) for f in dataclasses.fields(ParameterProfile)] \
+        == [type(getattr(profile, f.name)) for f in dataclasses.fields(ParameterProfile)]
