@@ -25,11 +25,8 @@ from .fidelity import (
     decohere,
     end_to_end_report,
     fidelity_to_werner,
-    link_werner,
     qber,
     router_pair_werner,
-    segment_werner,
-    transfer_werner,
     werner_to_fidelity,
 )
 from .montecarlo import (

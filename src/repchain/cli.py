@@ -103,6 +103,12 @@ def _design_from_args(args: argparse.Namespace, profile: ParameterProfile) -> Ne
     )
 
 
+def _mc_options(args: argparse.Namespace) -> McOptions:
+    """The MC flags, checked as simulate checks them whether or not anything draws."""
+    McConfig.check(args.seed, args.trials, args.workers)
+    return McOptions(args.with_mc, args.seed, args.trials, args.workers)
+
+
 def _tau_arg(args: argparse.Namespace, allow_zero: bool = False) -> float | None:
     """The --tau-s value: finite and > 0, or >= 0 where storing for no time is meaningful."""
     tau = args.tau_s
@@ -150,18 +156,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     era, profile = _resolve_profile(args.profile)
     design = _design_from_args(args, profile)
     cfg = McConfig(args.seed, args.trials, McMode(args.mode), args.workers)
-    return _emit(args.out, [simulate_row(era, profile, design, cfg, _tau_arg(args))])
+    tau_s = _tau_arg(args)
+    if tau_s is not None and cfg.mode in (McMode.MICRO_LINK, McMode.MICRO_SEGMENT):
+        print(f"note: --tau-s does not apply to the {cfg.mode.value} mode", file=sys.stderr)
+    return _emit(args.out, [simulate_row(era, profile, design, cfg, tau_s)])
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    mc = _mc_options(args)
     study = Study(args.study)
     labels = ("near", "long") if args.era == "both" else (args.era,)
     profiles = [(label, builtin_profile(label)) for label in labels]
-    mc = McOptions(args.with_mc, args.seed, args.trials, args.workers)
     return _emit(args.out, *run_study(study, profiles, mc))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    mc = _mc_options(args)
     era, profile = _resolve_profile(args.profile)
     ell = args.ell_km if args.ell_km is not None else max_link_length(profile)
     spec = SweepSpec(
@@ -171,7 +181,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         start=args.start, stop=args.stop, step=args.step,
         config=Config(args.config), ell_km=ell, n=args.n, big_n=args.big_n,
         xi=args.xi, epsilon=args.epsilon,
-        mc=McOptions(args.with_mc, args.seed, args.trials, args.workers),
+        mc=mc,
     )
     return _emit(args.out, *run_custom(spec))
 

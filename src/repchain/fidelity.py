@@ -13,7 +13,8 @@ import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .network import _CONFIG_A, Config, NetworkDesign
-from .params import _FIDELITY_FIELDS, DEFAULT_DECOHERENCE_RATE_PER_S, ParameterProfile
+from .params import (
+    _FIDELITY_FIELDS, DEFAULT_DECOHERENCE_RATE_PER_S, ParameterProfile, _check_fidelity)
 
 # numpy is imported inside the oracle only, so the closed-form commands,
 # which never call it, start without loading numpy.
@@ -27,12 +28,9 @@ __all__ = [
     "decohere",
     "end_to_end_report",
     "fidelity_to_werner",
-    "link_werner",
     "profile_stage_fidelities",
     "qber",
     "router_pair_werner",
-    "segment_werner",
-    "transfer_werner",
     "werner_to_fidelity",
 ]
 
@@ -55,11 +53,12 @@ class WernerReport(NamedTuple):
     tau_s: float
 
 
-def fidelity_to_werner(f: float) -> float:
-    """Werner weight of a state with Bell fidelity f, for f in [0.25, 1]."""
-    if not 0.25 <= f <= 1.0:
-        raise ValueError(f"fidelity {f!r} outside [0.25, 1]")
-    return (4.0 * f - 1.0) / 3.0
+def fidelity_to_werner(f: float, name: str = "fidelity") -> float:
+    """Werner weight of a state with Bell fidelity f, for f in [0.25, 1].
+
+    An f outside that range raises a ValueError naming name (a profile field, say).
+    """
+    return (4.0 * _check_fidelity(name, f) - 1.0) / 3.0
 
 
 def werner_to_fidelity(w: float) -> float:
@@ -71,9 +70,7 @@ def werner_to_fidelity(w: float) -> float:
 
 def qber(f: float) -> float:
     """Bit-error probability of measurements on a Werner pair of fidelity f."""
-    if not 0.25 <= f <= 1.0:
-        raise ValueError(f"fidelity {f!r} outside [0.25, 1]")
-    return 2.0 / 3.0 * (1.0 - f)
+    return 2.0 / 3.0 * (1.0 - _check_fidelity("fidelity", f))
 
 
 def decohere(
@@ -100,22 +97,15 @@ class _StageWeights(NamedTuple):
 
 
 def _profile_weights(profile: ParameterProfile) -> _StageWeights:
-    """The profile's stage weights, each stage once.
+    """The profile's stage weights, each stage fidelity checked and converted once.
 
-    Profiles memoize the result as ParameterProfile._werner_weights; read it there.
+    A stage fidelity outside [0.25, 1] raises naming its field. Profiles
+    memoize the result as ParameterProfile._werner_weights; read it there.
     """
-    w_bsm = fidelity_to_werner(profile.f_bsm)
-    w_afc = fidelity_to_werner(profile.f_afc)
-    w_src = fidelity_to_werner(profile.f_epps) * w_afc * fidelity_to_werner(profile.f_ffsmm)
-    w_transfer = (
-        fidelity_to_werner(profile.f_buff)
-        * fidelity_to_werner(profile.f_qfc)
-        * fidelity_to_werner(profile.f_tb_pol)
-        * fidelity_to_werner(profile.f_map)
-    )
-    return _StageWeights(w_bsm, w_afc, w_bsm * w_src ** 2, w_transfer,
-                         fidelity_to_werner(profile.f_c13), fidelity_to_werner(profile.f_cnot),
-                         fidelity_to_werner(profile.f_rout))
+    epps, afc, bsm, ffsmm, buff, qfc, tb_pol, map_, c13, cnot, rout = (
+        fidelity_to_werner(getattr(profile, name), name) for name in _FIDELITY_FIELDS)
+    return _StageWeights(bsm, afc, bsm * (epps * afc * ffsmm) ** 2,
+                         buff * qfc * tb_pol * map_, c13, cnot, rout)
 
 
 def _pair_weights(profile: ParameterProfile, config: Config, n: int) -> tuple[float, float, float]:
@@ -131,21 +121,6 @@ def _pair_weights(profile: ParameterProfile, config: Config, n: int) -> tuple[fl
     if config is _CONFIG_A:
         w_transfer *= w_afc ** (n - 1)
     return w_link, w_bsm ** (n - 1) * w_link ** n, w_transfer
-
-
-def link_werner(profile: ParameterProfile) -> float:
-    """Werner weight of one elementary pair: midpoint swap of two stored halves."""
-    return _pair_weights(profile, Config.B, 1)[0]
-
-
-def segment_werner(profile: ParameterProfile, n: int) -> float:
-    """Werner weight after swapping n links into one segment pair."""
-    return _pair_weights(profile, Config.B, n)[1]
-
-
-def transfer_werner(profile: ParameterProfile, config: Config, n: int) -> float:
-    """Werner weight of the transfer into a router memory (one segment end)."""
-    return _pair_weights(profile, config, n)[2]
 
 
 def _storage_factor(w_c13: float, tau_s: float, rate_per_s: float) -> float:
@@ -239,7 +214,7 @@ def compose_oracle(
     if not tau_s >= 0:
         raise ValueError(f"tau_s = {tau_s!r} must be >= 0")
     w = {
-        name: fidelity_to_werner(f)
+        name: fidelity_to_werner(f, name)
         for name, f in zip(STAGE_ORDER, stage_fidelities)
     }
     decay = math.exp(-decoherence_rate_per_s * tau_s)

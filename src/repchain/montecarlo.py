@@ -109,16 +109,21 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("master_seed", "trials", "workers"):
-            value = getattr(self, name)
+        self.check(self.master_seed, self.trials, self.workers)
+
+    @staticmethod
+    def check(master_seed: int, trials: int, workers: int) -> None:
+        """Check the numeric settings; raise a ValueError naming the first one out of range."""
+        for name, value in (("master_seed", master_seed), ("trials", trials),
+                            ("workers", workers)):
             if not isinstance(value, int):
                 raise ValueError(f"{name} = {value!r} must be an integer")
-        if not 0 <= self.master_seed <= MAX_SEED:
-            raise ValueError(f"master_seed = {self.master_seed!r} outside [0, 2^64)")
-        if self.trials < 1:
-            raise ValueError(f"trials = {self.trials!r} must be >= 1")
-        if not 1 <= self.workers <= MAX_WORKERS:
-            raise ValueError(f"workers = {self.workers!r} must be in [1, {MAX_WORKERS}]")
+        if not 0 <= master_seed <= MAX_SEED:
+            raise ValueError(f"master_seed = {master_seed!r} outside [0, 2^64)")
+        if trials < 1:
+            raise ValueError(f"trials = {trials!r} must be >= 1")
+        if not 1 <= workers <= MAX_WORKERS:
+            raise ValueError(f"workers = {workers!r} must be in [1, {MAX_WORKERS}]")
 
 
 class McEstimate(NamedTuple):

@@ -172,6 +172,13 @@ def builtin_profile(era: Era | str) -> ParameterProfile:
     return _BUILTIN[era]
 
 
+def _check_fidelity(name: str, value: float) -> float:
+    """Return value if it is a Bell fidelity in [0.25, 1]; else raise naming the field."""
+    if not 0.25 <= value <= 1.0:
+        raise ParameterValidationError(f"{name} = {value!r} outside [0.25, 1]")
+    return value
+
+
 def validate_profile(profile: ParameterProfile) -> ParameterProfile:
     """Check every field range; raise ParameterValidationError naming the field."""
     for name in _FIELD_NAMES:
@@ -183,9 +190,7 @@ def validate_profile(profile: ParameterProfile) -> ParameterProfile:
         if not 0.0 <= value <= 1.0:
             raise ParameterValidationError(f"{name} = {value!r} outside [0, 1]")
     for name in _FIDELITY_FIELDS:
-        value = getattr(profile, name)
-        if not 0.25 <= value <= 1.0:
-            raise ParameterValidationError(f"{name} = {value!r} outside [0.25, 1]")
+        _check_fidelity(name, getattr(profile, name))
     for name in _POSITIVE_FIELDS:
         value = getattr(profile, name)
         if not value > 0.0:
@@ -204,24 +209,17 @@ def validate_profile(profile: ParameterProfile) -> ParameterProfile:
 
 
 def _parse_value(key: str, text: str, lineno: int):
-    if key in _COUNT_FIELDS:
-        try:
-            as_float = float(text)
-        except ValueError:
-            raise ProfileParseError(
-                f"line {lineno}: value for {key} is not a number: {text!r}"
-            ) from None
-        if not math.isfinite(as_float) or as_float != int(as_float):
-            raise ParameterValidationError(
-                f"{key} = {text} must be a nonnegative integer"
-            )
-        return int(as_float)
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ProfileParseError(
             f"line {lineno}: value for {key} is not a number: {text!r}"
         ) from None
+    if key not in _COUNT_FIELDS:
+        return value
+    if not math.isfinite(value) or value != int(value):
+        raise ParameterValidationError(f"{key} = {text} must be a nonnegative integer")
+    return int(value)
 
 
 def load_profile(path: str | Path) -> ParameterProfile:

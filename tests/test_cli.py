@@ -600,6 +600,49 @@ def test_tau_note_for_segment_goes_to_stderr(capsys):
     assert out.splitlines()[1].startswith("segment,")
 
 
+@pytest.mark.parametrize("mode, note", [
+    ("micro-link", "note: --tau-s does not apply to the micro-link mode\n"),
+    ("micro-segment", "note: --tau-s does not apply to the micro-segment mode\n"),
+    ("window-nv", ""),
+])
+def test_tau_note_for_micro_modes_goes_to_stderr(capsys, mode, note):
+    argv = ["simulate", "--mode", mode, "--n", "2", "--trials", "2000", "--seed", "3"]
+    code, plain, plain_err = run(capsys, argv)
+    assert (code, plain_err) == (0, "")
+    code, out, err = run(capsys, argv + ["--tau-s", "1"])
+    assert (code, err) == (0, note)
+    if note:
+        assert out == plain  # the window is dropped, so the row is the same bytes
+
+
+_MC_COMMANDS = {
+    "reproduce": ["reproduce", "--study", "fidelity", "--era", "near"],
+    "sweep": ["sweep", "--scenario", "routed", "--axis", "n",
+              "--start", "1", "--stop", "2", "--step", "1"],
+}
+
+
+@pytest.mark.parametrize("with_mc", [False, True], ids=["no-mc", "with-mc"])
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--trials", "-5"),
+                                         ("--trials", "0"), ("--workers", "0")])
+@pytest.mark.parametrize("command", sorted(_MC_COMMANDS))
+def test_bad_mc_flag_exits_2_before_any_work(capsys, tmp_path, monkeypatch, command, flag,
+                                             value, with_mc):
+    _, _, expected = run(capsys, ["simulate", "--mode", "micro-link", flag, value])
+    assert expected.startswith("error: ")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the MC flags were checked")
+
+    for name in ("run_study", "run_custom", "_resolve_profile"):
+        monkeypatch.setattr(cli, name, no_work)
+    out_path = tmp_path / "rows.csv"
+    argv = _MC_COMMANDS[command] + ["--out", str(out_path), flag, value]
+    code, out, err = run(capsys, argv + ["--with-mc"] * with_mc)
+    assert (code, out, err) == (2, "", expected)
+    assert not out_path.exists()
+
+
 # Runs main() on each argv in a new interpreter, then reports which of the
 # heavy modules the closed-form commands avoid were loaded.
 _FRESH_CLI = """

@@ -13,13 +13,10 @@ from repchain import (
     decohere,
     end_to_end_report,
     fidelity_to_werner,
-    link_werner,
     max_link_length,
     qber,
     router_pair_werner,
     routed_cutoff_time,
-    segment_werner,
-    transfer_werner,
     werner_to_fidelity,
 )
 from repchain.fidelity import STAGE_ORDER, profile_stage_fidelities
@@ -48,8 +45,10 @@ def test_werner_fidelity_conversions():
     for f in np.linspace(0.25, 1.0, 41):
         assert werner_to_fidelity(fidelity_to_werner(float(f))) == pytest.approx(
             float(f), rel=1e-15, abs=1e-15)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^fidelity = 0.2 outside \[0.25, 1\]$"):
         fidelity_to_werner(0.2)
+    with pytest.raises(ValueError, match=r"^f_bsm = nan outside \[0.25, 1\]$"):
+        fidelity_to_werner(math.nan, "f_bsm")
     with pytest.raises(ValueError):
         werner_to_fidelity(1.1)
 
@@ -69,23 +68,29 @@ def test_decohere():
         0.9 * 0.36787944117144233, rel=1e-12)
 
 
+def _report(profile, config=Config.B, n=1):
+    """The pipeline report of one segment of n links, stored for no time."""
+    return end_to_end_report(profile, NetworkDesign(config, 10.0, n, 1, xi=max(2, n)), 0.0)
+
+
 def test_link_werner(near, long_term):
-    assert link_werner(near) == pytest.approx(W_LINK_NEAR, rel=1e-12)
-    assert link_werner(long_term) == pytest.approx(W_LINK_LONG, rel=1e-12)
+    assert _report(near).w_link == pytest.approx(W_LINK_NEAR, rel=1e-12)
+    assert _report(long_term).w_link == pytest.approx(W_LINK_LONG, rel=1e-12)
 
 
 def test_segment_werner(near, long_term):
-    assert segment_werner(long_term, 2) == pytest.approx(W_SEG_LONG_2, rel=1e-12)
-    assert segment_werner(near, 3) == pytest.approx(W_SEG_NEAR_3, rel=1e-12)
-    assert segment_werner(near, 1) == link_werner(near)
+    assert _report(long_term, n=2).w_segment == pytest.approx(W_SEG_LONG_2, rel=1e-12)
+    assert _report(near, n=3).w_segment == pytest.approx(W_SEG_NEAR_3, rel=1e-12)
+    assert _report(near).w_segment == _report(near).w_link
 
 
 def test_transfer_werner(near, long_term):
-    assert transfer_werner(near, Config.A, 1) == pytest.approx(W_TRANSFER_NEAR_A1, rel=1e-12)
-    assert transfer_werner(long_term, Config.A, 2) == pytest.approx(W_TRANSFER_LONG_A2, rel=1e-12)
+    assert _report(near, Config.A).w_transfer == pytest.approx(W_TRANSFER_NEAR_A1, rel=1e-12)
+    assert _report(long_term, Config.A, 2).w_transfer == pytest.approx(
+        W_TRANSFER_LONG_A2, rel=1e-12)
     # edge-memory recall penalty applies only to config A beyond one link
-    assert transfer_werner(near, Config.B, 3) == transfer_werner(near, Config.B, 1)
-    assert transfer_werner(near, Config.A, 2) < transfer_werner(near, Config.A, 1)
+    assert _report(near, Config.B, 3).w_transfer == _report(near, Config.B, 1).w_transfer
+    assert _report(near, Config.A, 2).w_transfer < _report(near, Config.A, 1).w_transfer
 
 
 def test_router_pair_werner(near, long_term):
@@ -201,6 +206,9 @@ def test_compose_oracle_rejects_bad_inputs(near):
         compose_oracle(stages, math.nan, 1, 2, Config.A)
     with pytest.raises(ValueError):
         compose_oracle(stages, 0.0, 0, 1, Config.A)
+    bad_stage = stages[:8] + (1.5,) + stages[9:]
+    with pytest.raises(ValueError, match=r"^f_c13 = 1.5 outside \[0.25, 1\]$"):
+        compose_oracle(bad_stage, 0.0, 1, 1, Config.A)
 
 
 def _oracle(profile, design, tau):
@@ -219,7 +227,7 @@ def test_replaced_profile_gets_fresh_stage_weights(near):
     assert abs(after.fidelity - _oracle(changed, design, 0.05)) < 1e-12
     w_src = (fidelity_to_werner(near.f_epps) * fidelity_to_werner(near.f_afc)
              * fidelity_to_werner(near.f_ffsmm))
-    assert link_werner(changed) == fidelity_to_werner(0.9) * w_src ** 2
+    assert after.w_link == fidelity_to_werner(0.9) * w_src ** 2
     # The first profile still reads its own weights.
     assert end_to_end_report(used, design, 0.05) == before
 
@@ -255,9 +263,6 @@ def test_unvalidated_stage_fidelity_raises_from_every_werner_entry(near, field, 
     bad = dataclasses.replace(near, **{field: value})
     design = NetworkDesign(Config.A, 20.0, 2, 2)
     entries = (
-        lambda: link_werner(bad),
-        lambda: segment_werner(bad, 2),
-        lambda: transfer_werner(bad, Config.A, 2),
         lambda: router_pair_werner(bad, Config.A, 2, 0.0),
         lambda: end_to_end_report(bad, design, 0.1),
     )
@@ -265,4 +270,4 @@ def test_unvalidated_stage_fidelity_raises_from_every_werner_entry(near, field, 
         for call in entries:
             with pytest.raises(ValueError) as info:
                 call()
-            assert str(info.value) == f"fidelity {value!r} outside [0.25, 1]"
+            assert str(info.value) == f"{field} = {value!r} outside [0.25, 1]"
