@@ -104,8 +104,7 @@ def _design_from_args(args: argparse.Namespace, profile: ParameterProfile) -> Ne
 
 
 def _mc_options(args: argparse.Namespace) -> McOptions:
-    """The MC flags, checked as simulate checks them whether or not anything draws."""
-    McConfig.check(args.seed, args.trials, args.workers)
+    """The MC flags; McOptions checks them as simulate does, whether or not anything draws."""
     return McOptions(args.with_mc, args.seed, args.trials, args.workers)
 
 

@@ -120,6 +120,9 @@ class McOptions:
     trials: int = 100_000
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        McConfig.check(self.seed, self.trials, self.workers)
+
 
 def _cell(value) -> str:
     """A cell whose type is not an exact Python scalar type.
@@ -486,6 +489,8 @@ _AXES = _INT_AXES | {"ell_km"}
 
 
 def _axis_values(spec: SweepSpec) -> list[float]:
+    if not isinstance(spec.scenario, Scenario):
+        raise SweepError(f"sweep scenario {spec.scenario!r} must be a Scenario")
     if spec.axis not in _AXES:
         raise SweepError(f"unknown sweep axis {spec.axis!r}; expected one of {sorted(_AXES)}")
     if spec.axis == "big_n" and spec.scenario not in ROUTED_SCENARIOS:

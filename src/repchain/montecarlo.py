@@ -110,6 +110,8 @@ class McConfig:
 
     def __post_init__(self) -> None:
         self.check(self.master_seed, self.trials, self.workers)
+        if not isinstance(self.mode, McMode):
+            raise ValueError(f"mode = {self.mode!r} must be an McMode")
 
     @staticmethod
     def check(master_seed: int, trials: int, workers: int) -> None:

@@ -66,7 +66,6 @@ class RateReport(NamedTuple):
     scenario: Scenario
     tau_s: float | None      # window duration; None for the windowless segment scenario
     tau_clamped: bool
-    p_link: float            # per-attempt link success probability
     p_segment: float         # per-attempt segment success, or per-window success
     rate_hz: float
     attempts_per_window: float | None
@@ -142,13 +141,7 @@ def segment_success_prob(
     All n links succeed, the n-1 in-segment swaps succeed, and both ends
     transfer into their routers.
     """
-    return _segment_prob(profile, design, link_success_prob(profile, design.ell_km),
-                         include_buffer)
-
-
-def _segment_prob(profile: ParameterProfile, design: NetworkDesign, p_link: float,
-                  include_buffer: bool) -> float:
-    """segment_success_prob over a link success p_link its caller already holds."""
+    p_link = link_success_prob(profile, design.ell_km)
     eta = transfer_efficiency(profile, design.config, design.n, include_buffer)
     return _clip01(eta ** 2 * p_link ** design.n * profile.eta_bsm ** (design.n - 1))
 
@@ -170,10 +163,8 @@ def nv_attempt_rate(ell_km: float) -> float:
 
 def segment_rate(profile: ParameterProfile, design: NetworkDesign) -> RateReport:
     """Pair rate between the two routers of a single segment (no window)."""
-    p_link = link_success_prob(profile, design.ell_km)
-    p_seg = _segment_prob(profile, design, p_link, True)
-    return RateReport(_SEGMENT, None, False, p_link, p_seg,
-                      attempt_rate(profile) * p_seg, None)
+    p_seg = segment_success_prob(profile, design)
+    return RateReport(_SEGMENT, None, False, p_seg, attempt_rate(profile) * p_seg, None)
 
 
 class WindowLaw(NamedTuple):
@@ -237,31 +228,19 @@ def window_success_prob(p_attempt: float, attempts: float) -> float:
 
 
 def window_law(scenario: Scenario, profile: ParameterProfile, design: NetworkDesign) -> WindowLaw:
-    """The window law of a windowed scenario."""
-    return _window_law(scenario, profile, design)[0]
-
-
-def _window_law(
-    scenario: Scenario,
-    profile: ParameterProfile,
-    design: NetworkDesign,
-) -> tuple[WindowLaw, float]:
-    """The one place that maps a windowed scenario to its window law; also
-    returns the per-attempt link success the law was built from.
-    """
+    """The one place that maps a windowed scenario to its window law."""
     t = timings(design, profile)
     if scenario is _NV_CHAIN:
+        # The link law checks ell_km first, so a nan length gets its message.
         p_link = nv_link_success_prob(profile, design.ell_km)
         return WindowLaw(nv_attempt_rate(design.ell_km), p_link, design.n, 0.5,
-                         t.t_trans_tilde, profile.t_nv), p_link
+                         t.t_trans_tilde, profile.t_nv)
     if scenario is _ROUTED or scenario is _ROUTED_NO_BUFFER:
         # Without buffers a segment only attempts during half of the window.
         buffered = scenario is _ROUTED
-        p_link = link_success_prob(profile, design.ell_km)
-        p_seg = _segment_prob(profile, design, p_link, buffered)
-        return WindowLaw(attempt_rate(profile), p_seg, design.big_n, 1.0 if buffered else 0.5,
-                         t.t_trans, profile.t_nv), p_link
-    raise ValueError(f"scenario {scenario.value!r} has no window")
+        return WindowLaw(attempt_rate(profile), segment_success_prob(profile, design, buffered),
+                         design.big_n, 1.0 if buffered else 0.5, t.t_trans, profile.t_nv)
+    raise ValueError(f"scenario {scenario!r} has no window")
 
 
 def _window_rate(
@@ -271,12 +250,11 @@ def _window_rate(
     tau_s: float | None,
 ) -> RateReport:
     """Rate report over the cutoff window, or over tau_s clamped into range."""
-    law, p_link = _window_law(scenario, profile, design)
+    law = window_law(scenario, profile, design)
     tau, clamped = law.cutoff(design.epsilon) if tau_s is None else law.clamp(tau_s)
     attempts = law.attempts(tau)
     p_window = window_success_prob(law.p_attempt, attempts)
-    return RateReport(scenario, tau, clamped, p_link, p_window,
-                      p_window ** law.stations / tau, attempts)
+    return RateReport(scenario, tau, clamped, p_window, p_window ** law.stations / tau, attempts)
 
 
 def nv_cutoff_time(profile: ParameterProfile, design: NetworkDesign) -> tuple[float, bool]:
@@ -340,4 +318,6 @@ def scenario_rate(
         return nv_chain_rate(profile, design, tau_s)
     if scenario is _ROUTED:
         return routed_rate(profile, design, tau_s)
-    return routed_rate_no_buffer(profile, design, tau_s)
+    if scenario is _ROUTED_NO_BUFFER:
+        return routed_rate_no_buffer(profile, design, tau_s)
+    raise ValueError(f"scenario = {scenario!r} must be a Scenario")

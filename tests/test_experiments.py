@@ -1,5 +1,6 @@
 import ast
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from repchain import (
     write_csv,
 )
 from repchain.experiments import MAX_SWEEP_POINTS, fidelity_row, rate_row
+from repchain.montecarlo import MAX_SEED, MAX_WORKERS, McConfig, McMode
 
 EXPECTED_HEADER = (
     "scenario,era,config,n,N,ell_km,total_km,tau_s,tau_clamped,"
@@ -305,6 +307,35 @@ def test_run_custom_routerless_scenarios_use_one_segment(profiles, scenario):
     assert [row.total_km for row in rows] == [10.0, 20.0, 30.0]
     with pytest.raises(SweepError, match="big_n"):
         run_custom(SweepSpec(axis="big_n", start=1, stop=3, step=1, **base))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", MAX_SEED + 1), ("seed", 1.0),
+    ("trials", 0), ("trials", -5), ("trials", 4096.0),
+    ("workers", 0), ("workers", MAX_WORKERS + 1), ("workers", 2.0),
+], ids=["seed-negative", "seed-2^64", "seed-float", "trials-0", "trials-negative",
+        "trials-float", "workers-0", "workers-above-max", "workers-float"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_mc_options_are_checked_when_built(field, value, enabled):
+    # Checked before any row's work, and whether or not anything draws.
+    kwargs = dict(seed=0, trials=10, workers=1)
+    kwargs[field] = value
+    with pytest.raises(ValueError) as simulate_error:
+        McConfig(kwargs["seed"], kwargs["trials"], McMode.MICRO_LINK, kwargs["workers"])
+    with pytest.raises(ValueError) as options_error:
+        McOptions(enabled, **kwargs)
+    assert str(options_error.value) == str(simulate_error.value)
+
+
+def test_rows_reject_a_scenario_that_is_not_a_member(profiles):
+    era, profile = profiles[0]
+    design = NetworkDesign(Config.A, 20.0, 1, 2)
+    with pytest.raises(ValueError, match=re.escape("scenario = 'routed' must be a Scenario")):
+        rate_row(era, profile, design, "routed")
+    for axis in ("n", "big_n"):
+        spec = SweepSpec(scenario="routed", profiles=profiles, axis=axis, start=1, stop=2, step=1)
+        with pytest.raises(SweepError, match=re.escape("sweep scenario 'routed' must be a Scenario")):
+            run_custom(spec)
 
 
 def test_mc_columns_disabled_by_default(profiles):

@@ -86,6 +86,12 @@ def test_mcconfig_rejects_non_integers_naming_the_field(field, value):
         McConfig(**kwargs)
 
 
+@pytest.mark.parametrize("mode", ["micro-link", None, 0], ids=repr)
+def test_mcconfig_rejects_a_mode_that_is_not_a_member(mode):
+    with pytest.raises(ValueError, match=re.escape(f"mode = {mode!r} must be an McMode")):
+        McConfig(1, 100, mode)
+
+
 def test_mode_mismatch_rejected(near):
     cfg = McConfig(0, 10, McMode.MICRO_SEGMENT)
     with pytest.raises(ValueError, match="expected"):

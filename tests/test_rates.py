@@ -25,7 +25,7 @@ from repchain import (
     timings,
     transfer_efficiency,
 )
-from repchain.rates import WindowLaw
+from repchain.rates import RateReport, WindowLaw, scenario_rate, window_law
 
 # Frozen values from an independent scratch oracle run before this module
 # existed. Probabilities, efficiencies, and window durations agree to a few
@@ -116,8 +116,43 @@ def test_segment_rate(near, long_term):
     assert rep.tau_s is None
     assert rep.attempts_per_window is None
     assert rep.rate_hz == pytest.approx(RATE_SEG_NEAR, rel=1e-12)
+    assert rep.p_segment == segment_success_prob(near, _design(near))
     rep2 = segment_rate(long_term, _design(long_term, n=2))
     assert rep2.rate_hz == pytest.approx(RATE_SEG_LONG, rel=1e-12)
+    assert rep2.p_segment == segment_success_prob(long_term, _design(long_term, n=2))
+
+
+def test_rate_report_fields():
+    assert RateReport._fields == (
+        "scenario", "tau_s", "tau_clamped", "p_segment", "rate_hz", "attempts_per_window")
+
+
+@pytest.mark.parametrize("scenario", [Scenario.ROUTED, Scenario.ROUTED_NO_BUFFER,
+                                      Scenario.NV_CHAIN], ids=lambda s: s.value)
+def test_window_law_reads_the_link_and_segment_laws(near, long_term, scenario):
+    # The one window law takes its per-attempt success from the one link or
+    # segment law, bit for bit, on both configurations.
+    for profile in (near, long_term):
+        ell = max_link_length(profile)
+        for design in (NetworkDesign(Config.A, ell, 2, 3), NetworkDesign(Config.B, ell / 2, 2, 6)):
+            if scenario is Scenario.NV_CHAIN:
+                expected = nv_link_success_prob(profile, design.ell_km)
+            else:
+                expected = segment_success_prob(profile, design, scenario is Scenario.ROUTED)
+            assert window_law(scenario, profile, design).p_attempt == expected
+
+
+@pytest.mark.parametrize("scenario", ["routed", None, Scenario.SEGMENT],
+                         ids=["str", "None", "segment"])
+def test_window_law_names_a_scenario_without_a_window(near, scenario):
+    with pytest.raises(ValueError, match=re.escape(f"scenario {scenario!r} has no window")):
+        window_law(scenario, near, _design(near))
+
+
+@pytest.mark.parametrize("scenario", ["routed", None, "routed-nobuffer"], ids=repr)
+def test_scenario_rate_rejects_a_non_member(near, scenario):
+    with pytest.raises(ValueError, match=re.escape(f"scenario = {scenario!r} must be a Scenario")):
+        scenario_rate(scenario, near, _design(near))
 
 
 def _bisect_routed_tau(profile, design):
