@@ -1,7 +1,8 @@
 """Standard studies, custom sweeps, and CSV emission.
 
-run_study is the one study loop: it rejects unknown eras, then runs the
-study's private per-era body for each built-in era and returns (rows, checks).
+run_study is the one study loop: it rejects a non-Study and unknown eras,
+then runs the study's private per-era body for each built-in era and returns
+(rows, checks).
 Rows follow the fixed CSV column contract; checks are the study's documented
 qualitative postconditions (orderings, crossovers, clamping, anchors)
 evaluated on the produced data and returned as data, never raised: a failed
@@ -448,6 +449,8 @@ def run_study(
     Each era's body gets the era's maximum link length; the fidelity study
     closes with the era-independent qber anchor.
     """
+    if not isinstance(study, Study):
+        raise ValueError(f"study = {study!r} must be a Study")
     for label, _profile in profiles:
         if label not in OPERATING_N:
             raise SweepError(

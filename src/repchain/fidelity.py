@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .network import _CONFIG_A, Config, NetworkDesign
+from .network import _CONFIG_A, _CONFIG_B, Config, NetworkDesign, _config_message
 from .params import (
     _FIDELITY_FIELDS, DEFAULT_DECOHERENCE_RATE_PER_S, ParameterProfile, _check_fidelity)
 
@@ -120,6 +120,8 @@ def _pair_weights(profile: ParameterProfile, config: Config, n: int) -> tuple[fl
     w_bsm, w_afc, w_link, w_transfer, _, _, _ = profile._werner_weights
     if config is _CONFIG_A:
         w_transfer *= w_afc ** (n - 1)
+    elif config is not _CONFIG_B:
+        raise ValueError(_config_message(config))
     return w_link, w_bsm ** (n - 1) * w_link ** n, w_transfer
 
 
@@ -213,6 +215,8 @@ def compose_oracle(
         raise ValueError("n and big_n must be >= 1")
     if not tau_s >= 0:
         raise ValueError(f"tau_s = {tau_s!r} must be >= 0")
+    if config is not _CONFIG_A and config is not _CONFIG_B:
+        raise ValueError(_config_message(config))
     w = {
         name: fidelity_to_werner(f, name)
         for name, f in zip(STAGE_ORDER, stage_fidelities)
@@ -235,7 +239,7 @@ def compose_oracle(
         for alpha in (w["f_buff"], w["f_qfc"], w["f_tb_pol"], w["f_map"]):
             rho = _depolarize(rho, alpha)
             rho = _depolarize(rho, alpha)
-        if config is Config.A:
+        if config is _CONFIG_A:
             for _extra in range(2 * (n - 1)):
                 rho = _depolarize(rho, w["f_afc"])
         if tau_s > 0.0:

@@ -48,6 +48,11 @@ class Config(enum.Enum):
 _CONFIG_A, _CONFIG_B = Config.A, Config.B
 
 
+def _config_message(config) -> str:
+    """The message for a config argument that is not a Config member."""
+    return f"config = {config!r} must be a Config"
+
+
 def _python_scalar(value):
     """The Python scalar a numpy scalar holds; any other value unchanged."""
     numpy = sys.modules.get("numpy")

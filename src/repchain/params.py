@@ -161,15 +161,13 @@ _BUILTIN = {Era.NEAR_TERM: _NEAR, Era.LONG_TERM: _LONG, Era.IDEAL: _IDEAL}
 
 def builtin_profile(era: Era | str) -> ParameterProfile:
     """Return the built-in profile for an era ("near", "long", or "ideal")."""
-    if isinstance(era, str):
-        try:
-            era = Era(era)
-        except ValueError:
-            raise ParameterValidationError(
-                f"unknown era {era!r}; expected one of "
-                + ", ".join(e.value for e in Era)
-            ) from None
-    return _BUILTIN[era]
+    try:
+        return _BUILTIN[Era(era)]
+    except ValueError:
+        raise ParameterValidationError(
+            f"unknown era {era!r}; expected one of "
+            + ", ".join(e.value for e in Era)
+        ) from None
 
 
 def _check_fidelity(name: str, value: float) -> float:

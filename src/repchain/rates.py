@@ -21,7 +21,8 @@ import enum
 import math
 from typing import NamedTuple
 
-from .network import _CONFIG_A, SIGNAL_VELOCITY_KM_PER_S, Config, NetworkDesign, timings
+from .network import (
+    _CONFIG_A, _CONFIG_B, SIGNAL_VELOCITY_KM_PER_S, Config, NetworkDesign, _config_message, timings)
 from .params import ParameterProfile
 
 __all__ = [
@@ -128,6 +129,8 @@ def transfer_efficiency(
         eta *= profile.eta_buff
     if config is _CONFIG_A:
         eta *= profile.eta_afc ** (n - 1)
+    elif config is not _CONFIG_B:
+        raise ValueError(_config_message(config))
     return eta
 
 

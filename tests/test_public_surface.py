@@ -2,19 +2,24 @@
 
 A stale `__all__` entry otherwise fails only at `from repchain.<module>
 import *`, and a top-level name missing from its module's `__all__` is
-public in one place and private in the other.
+public in one place and private in the other. The package re-exports every
+library module's `__all__`; only the command line stays out of it.
 """
 
-import ast
+import enum
 import importlib
 import inspect
 import pkgutil
+import typing
 
 import pytest
 
 import repchain
+from repchain import Config, Era, McMode, Scenario, Study
+from repchain.fidelity import profile_stage_fidelities
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(repchain.__path__))
+LIBRARY_MODULES = [name for name in MODULES if name not in ("__main__", "cli")]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -24,10 +29,79 @@ def test_every_all_entry_exists(name):
 
 
 def test_package_imports_only_public_names():
-    tree = ast.parse(inspect.getsource(repchain))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        assert node.level == 1
-        module = importlib.import_module(f"repchain.{node.module}")
-        assert [alias.name for alias in node.names if alias.name not in module.__all__] == []
+    modules = [importlib.import_module(f"repchain.{name}") for name in LIBRARY_MODULES]
+    union = [name for module in modules for name in module.__all__]
+    assert len(set(union)) == len(union)
+    public = [name for name, value in vars(repchain).items()
+              if not name.startswith("_") and not inspect.ismodule(value)]
+    assert sorted(public) == sorted(union)
+    assert repchain.__all__ == union
+    assert [(module.__name__, name) for module in modules for name in module.__all__
+            if getattr(repchain, name) is not getattr(module, name)] == []
+
+
+NEAR = repchain.builtin_profile("near")
+DESIGN = repchain.NetworkDesign(Config.A, 20.0, 2, 2)
+
+
+# Valid keyword arguments for each public callable whose type hints name an enum.
+VALID_ARGS = {
+    "McConfig": dict(master_seed=1, trials=1, mode=McMode.MICRO_LINK),
+    "NetworkDesign": dict(config=Config.A, ell_km=20.0, n=2, big_n=2),
+    "SweepSpec": dict(scenario=Scenario.ROUTED, profiles=(("near", NEAR),), axis="n",
+                      start=1, stop=1, step=1),
+    "builtin_profile": dict(era=Era.NEAR_TERM),
+    "compose_oracle": dict(stage_fidelities=profile_stage_fidelities(NEAR), tau_s=0.1, n=2,
+                           big_n=2, config=Config.A),
+    "rate_row": dict(era="near", profile=NEAR, design=DESIGN, scenario=Scenario.ROUTED),
+    "router_pair_werner": dict(profile=NEAR, config=Config.A, n=2, tau_s=0.1),
+    "run_study": dict(study=Study.FIDELITY, profiles=(("near", NEAR),)),
+    "scenario_rate": dict(scenario=Scenario.ROUTED, profile=NEAR, design=DESIGN),
+    "transfer_efficiency": dict(profile=NEAR, config=Config.A, n=2),
+    "window_law": dict(scenario=Scenario.ROUTED, profile=NEAR, design=DESIGN),
+}
+
+
+def _call(name, **override):
+    """Call the public name with its valid arguments, some overridden; a SweepSpec is run."""
+    result = getattr(repchain, name)(**{**VALID_ARGS[name], **override})
+    return repchain.run_custom(result) if name == "SweepSpec" else result
+
+
+def _enum_parameters():
+    """{name: {parameter: hint}} for every public callable with an enum-typed parameter."""
+    found = {}
+    for name in repchain.__all__:
+        obj = getattr(repchain, name)
+        if not callable(obj):
+            continue
+        hints = typing.get_type_hints(obj.__init__ if inspect.isclass(obj) else obj)
+        params = {param: hint for param, hint in hints.items() if param != "return"
+                  and any(isinstance(arg, type) and issubclass(arg, enum.Enum)
+                          for arg in typing.get_args(hint) or (hint,))}
+        if params:
+            found[name] = params
+    return found
+
+
+def test_enum_parameters_reject_non_members():
+    params = _enum_parameters()
+    assert sorted(params) == sorted(VALID_ARGS)
+    failures = []
+    for name, hints in params.items():
+        _call(name)
+        for param, hint in hints.items():
+            args = typing.get_args(hint) or (hint,)
+            members = [arg for arg in args if isinstance(arg, type) and issubclass(arg, enum.Enum)]
+            bad = [None, Era.NEAR_TERM if Era not in members else Config.A]
+            if str not in args:
+                bad.insert(0, next(iter(members[0])).value)
+            for value in bad:
+                try:
+                    _call(name, **{param: value})
+                except Exception as exc:
+                    if not (isinstance(exc, ValueError) and param in str(exc)):
+                        failures.append(f"{name}({param}={value!r}): {exc!r}")
+                else:
+                    failures.append(f"{name}({param}={value!r}) raised nothing")
+    assert failures == []
