@@ -91,11 +91,15 @@ def _add_mc_args(parser: argparse.ArgumentParser) -> None:
                         help="worker threads; results do not depend on this (default: 1)")
 
 
+def _ell_km(args: argparse.Namespace, profile: ParameterProfile) -> float:
+    """--ell-km, by default the longest link the profile's memory storage covers."""
+    return args.ell_km if args.ell_km is not None else max_link_length(profile)
+
+
 def _design_from_args(args: argparse.Namespace, profile: ParameterProfile) -> NetworkDesign:
-    ell = args.ell_km if args.ell_km is not None else max_link_length(profile)
     return NetworkDesign(
         config=Config(args.config),
-        ell_km=ell,
+        ell_km=_ell_km(args, profile),
         n=args.n,
         big_n=args.big_n,
         xi=args.xi,
@@ -172,13 +176,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     mc = _mc_options(args)
     era, profile = _resolve_profile(args.profile)
-    ell = args.ell_km if args.ell_km is not None else max_link_length(profile)
     spec = SweepSpec(
         scenario=Scenario(args.scenario),
         profiles=((era, profile),),
         axis=args.axis.replace("-", "_"),
         start=args.start, stop=args.stop, step=args.step,
-        config=Config(args.config), ell_km=ell, n=args.n, big_n=args.big_n,
+        config=Config(args.config), ell_km=_ell_km(args, profile), n=args.n, big_n=args.big_n,
         xi=args.xi, epsilon=args.epsilon,
         mc=mc,
     )

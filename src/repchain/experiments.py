@@ -35,7 +35,8 @@ from .montecarlo import (
 from .network import Config, NetworkDesign, _python_scalar, max_link_length
 from .params import ParameterProfile
 from .rates import (
-    _NV_CHAIN, Scenario, attempt_rate, routed_cutoff_time, scenario_rate, window_law)
+    _NV_CHAIN, Scenario, _scenario_message, attempt_rate, routed_cutoff_time, scenario_rate,
+    window_law)
 
 __all__ = [
     "CSV_HEADER",
@@ -493,7 +494,7 @@ _AXES = _INT_AXES | {"ell_km"}
 
 def _axis_values(spec: SweepSpec) -> list[float]:
     if not isinstance(spec.scenario, Scenario):
-        raise SweepError(f"sweep scenario {spec.scenario!r} must be a Scenario")
+        raise SweepError(_scenario_message(spec.scenario))
     if spec.axis not in _AXES:
         raise SweepError(f"unknown sweep axis {spec.axis!r}; expected one of {sorted(_AXES)}")
     if spec.axis == "big_n" and spec.scenario not in ROUTED_SCENARIOS:

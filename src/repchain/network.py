@@ -1,10 +1,14 @@
-"""Network geometry: configurations, timing quantities, resource counts.
+"""Network geometry: configurations, designs and timing quantities.
 
 A design describes one routed chain: big_n multiplexed repeater segments in
 series, each built from n elementary links of length ell_km, joined by
 big_n - 1 quantum routers. Configuration A keeps full-length links and stores
 the synchronism slack in extra edge memories; configuration B shortens links
 by a factor xi and spends extra routers instead.
+
+A design whose total length overflows is refused when it is built. Whether a
+router's storage time covers its handoff is the window law's question
+(rates.WindowLaw: t_max against floor_s).
 """
 
 from __future__ import annotations
@@ -21,12 +25,8 @@ __all__ = [
     "Config",
     "DesignError",
     "NetworkDesign",
-    "ResourceCount",
     "TimingReport",
-    "Violation",
-    "check_feasibility",
     "max_link_length",
-    "resources",
     "timings",
 ]
 
@@ -81,7 +81,7 @@ class NetworkDesign:
             # so a numpy scalar field is stored as the Python scalar it holds.
             ell_km, n, big_n, xi, epsilon = map(_python_scalar, (ell_km, n, big_n, xi, epsilon))
         if not isinstance(config, Config):
-            raise DesignError(f"config must be Config.A or Config.B, got {config!r}")
+            raise DesignError(_config_message(config))
         if not (math.isfinite(ell_km) and ell_km > 0):
             raise DesignError(f"ell_km = {ell_km!r} must be finite and > 0")
         if n < 1:
@@ -117,17 +117,6 @@ class TimingReport(NamedTuple):
     t_trans_tilde: float  # router handoff alone
 
 
-class ResourceCount(NamedTuple):
-    qms: int       # quantum memories per reference span
-    qrs: int       # extra quantum routers per reference span
-    total_km: float
-
-
-class Violation(NamedTuple):
-    name: str
-    message: str
-
-
 def max_link_length(profile: ParameterProfile) -> float:
     """Longest link the memory storage time can cover, km."""
     return profile.t_afc * SIGNAL_VELOCITY_KM_PER_S
@@ -138,47 +127,3 @@ def timings(design: NetworkDesign, profile: ParameterProfile) -> TimingReport:
     t_arc = design.n * t_rt
     return TimingReport(t_rt, t_arc, profile.t_c13 + t_arc + profile.t_cnot,
                         profile.t_c13 + profile.t_cnot)
-
-
-def resources(design: NetworkDesign) -> ResourceCount:
-    """Memory and router counts per reference span, plus total chain length."""
-    if design.config is Config.A:
-        qms = 4 * design.n - 2
-        qrs = 0
-    else:
-        qms = 2 * design.xi * design.n
-        qrs = design.xi * design.n - 1
-    return ResourceCount(
-        qms=qms,
-        qrs=qrs,
-        total_km=design.big_n * design.n * design.ell_km,
-    )
-
-
-def check_feasibility(design: NetworkDesign, profile: ParameterProfile) -> list[Violation]:
-    """Return named constraint violations; an empty list means feasible.
-
-    Violations are advisory. Rates and fidelities remain computable for an
-    infeasible design.
-    """
-    violations: list[Violation] = []
-    t = timings(design, profile)
-    if profile.t_nv < t.t_trans:
-        violations.append(Violation(
-            name="cutoff-window",
-            message=(
-                f"router storage time t_nv = {profile.t_nv:g} s is below the "
-                f"handoff time t_trans = {t.t_trans:g} s"
-            ),
-        ))
-    required = (design.n - 1) * t.t_rt
-    if profile.t_buff_spin < required:
-        violations.append(Violation(
-            name="buffer-spin-storage",
-            message=(
-                f"buffer spin storage t_buff_spin = {profile.t_buff_spin:g} s is below "
-                f"(n-1) * t_rt = {required:g} s"
-            ),
-        ))
-    return violations
-

@@ -73,7 +73,7 @@ class ParameterProfile:
     alpha_db_per_km: float   # fiber attenuation, dB/km
     eta_buff: float          # buffer memory efficiency
     t_buff_opt: float        # buffer optical coherence time, s
-    t_buff_spin: float       # buffer spin storage time, s
+    t_buff_spin: float       # buffer spin storage time, s (stored, unused by the rate model)
     eta_map: float           # photon-to-electron mapping efficiency
     eta_pol: float           # time-bin to polarization conversion efficiency
     eta_qfc_637: float       # buffer-to-router wavelength conversion efficiency

@@ -63,6 +63,11 @@ _SEGMENT, _NV_CHAIN, _ROUTED, _ROUTED_NO_BUFFER = (
     Scenario.SEGMENT, Scenario.NV_CHAIN, Scenario.ROUTED, Scenario.ROUTED_NO_BUFFER)
 
 
+def _scenario_message(scenario) -> str:
+    """The message for a scenario argument that is not a Scenario member."""
+    return f"scenario = {scenario!r} must be a Scenario"
+
+
 class RateReport(NamedTuple):
     scenario: Scenario
     tau_s: float | None      # window duration; None for the windowless segment scenario
@@ -243,7 +248,9 @@ def window_law(scenario: Scenario, profile: ParameterProfile, design: NetworkDes
         buffered = scenario is _ROUTED
         return WindowLaw(attempt_rate(profile), segment_success_prob(profile, design, buffered),
                          design.big_n, 1.0 if buffered else 0.5, t.t_trans, profile.t_nv)
-    raise ValueError(f"scenario {scenario!r} has no window")
+    if scenario is _SEGMENT:
+        raise ValueError(f"scenario {scenario!r} has no window")
+    raise ValueError(_scenario_message(scenario))
 
 
 def _window_rate(
@@ -323,4 +330,4 @@ def scenario_rate(
         return routed_rate(profile, design, tau_s)
     if scenario is _ROUTED_NO_BUFFER:
         return routed_rate_no_buffer(profile, design, tau_s)
-    raise ValueError(f"scenario = {scenario!r} must be a Scenario")
+    raise ValueError(_scenario_message(scenario))

@@ -592,6 +592,21 @@ def test_sweep_routed_rate_decreases_with_routers(capsys):
     assert not any(math.isnan(r) for r in rates)
 
 
+@pytest.mark.parametrize("profile", ["near", "long", "ideal"])
+def test_sweep_without_ell_km_uses_the_longest_link(capsys, profile):
+    # sweep and the single-design commands share one --ell-km default.
+    ell = max_link_length(builtin_profile(profile))
+    sweep = ["sweep", "--scenario", "routed", "--axis", "big-n", "--start", "1", "--stop", "3",
+             "--step", "1", "--profile", profile, "--n", "2"]
+    code, out, err = run(capsys, sweep)
+    assert (code, err) == (0, "")
+    assert [line.split(",")[5] for line in out.splitlines()[1:]] == [repr(ell)] * 3
+    assert run(capsys, sweep + ["--ell-km", repr(ell)]) == (0, out, "")
+    _, rated, _ = run(capsys, ["rate", "--scenario", "routed", "--profile", profile, "--n", "2",
+                               "--big-n", "3"])
+    assert rated.splitlines()[1] == out.splitlines()[3]
+
+
 def test_tau_note_for_segment_goes_to_stderr(capsys):
     code, out, err = run(capsys, ["rate", "--scenario", "segment",
                                   "--tau-s", "0.1"])

@@ -334,8 +334,9 @@ def test_rows_reject_a_scenario_that_is_not_a_member(profiles):
         rate_row(era, profile, design, "routed")
     for axis in ("n", "big_n"):
         spec = SweepSpec(scenario="routed", profiles=profiles, axis=axis, start=1, stop=2, step=1)
-        with pytest.raises(SweepError, match=re.escape("sweep scenario 'routed' must be a Scenario")):
+        with pytest.raises(SweepError) as info:
             run_custom(spec)
+        assert str(info.value) == "scenario = 'routed' must be a Scenario"
 
 
 def test_mc_columns_disabled_by_default(profiles):

@@ -6,11 +6,13 @@ public in one place and private in the other. The package re-exports every
 library module's `__all__`; only the command line stays out of it.
 """
 
+import ast
 import enum
 import importlib
 import inspect
 import pkgutil
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,34 @@ def test_package_imports_only_public_names():
     assert repchain.__all__ == union
     assert [(module.__name__, name) for module in modules for name in module.__all__
             if getattr(repchain, name) is not getattr(module, name)] == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _used_names(path, strings):
+    """Names a file reads as a Name or an Attribute, plus its string constants if asked."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    # A public name that neither the library nor the benchmark reads is surface
+    # nothing uses; tests alone do not keep it. bench/ reaches some functions
+    # by their name as a string, so its string constants count too.
+    used = set()
+    for path in sorted((ROOT / "src" / "repchain").glob("*.py")):
+        used |= _used_names(path, strings=False)
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        used |= _used_names(path, strings=True)
+    assert [name for name in repchain.__all__ if name not in used] == []
 
 
 NEAR = repchain.builtin_profile("near")

@@ -142,11 +142,15 @@ def test_window_law_reads_the_link_and_segment_laws(near, long_term, scenario):
             assert window_law(scenario, profile, design).p_attempt == expected
 
 
-@pytest.mark.parametrize("scenario", ["routed", None, Scenario.SEGMENT],
-                         ids=["str", "None", "segment"])
-def test_window_law_names_a_scenario_without_a_window(near, scenario):
-    with pytest.raises(ValueError, match=re.escape(f"scenario {scenario!r} has no window")):
+@pytest.mark.parametrize("scenario, message", [
+    ("routed", "scenario = 'routed' must be a Scenario"),
+    (None, "scenario = None must be a Scenario"),
+    (Scenario.SEGMENT, "scenario <Scenario.SEGMENT: 'segment'> has no window"),
+], ids=["str", "None", "segment"])
+def test_window_law_names_a_scenario_without_a_window(near, scenario, message):
+    with pytest.raises(ValueError) as info:
         window_law(scenario, near, _design(near))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("scenario", ["routed", None, "routed-nobuffer"], ids=repr)

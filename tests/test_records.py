@@ -1,7 +1,5 @@
 """Computed result records are named tuples: immutable, hashable, equal by value."""
 
-import dataclasses
-
 import pytest
 
 from repchain import (
@@ -13,10 +11,8 @@ from repchain import (
     Scenario,
     SweepRow,
     builtin_profile,
-    check_feasibility,
     end_to_end_report,
     max_link_length,
-    resources,
     routed_rate,
     timings,
 )
@@ -33,8 +29,6 @@ RECORDS = [
     (routed_rate(NEAR, DESIGN), "rate_hz", -1.0),
     (window_law(Scenario.ROUTED, NEAR, DESIGN), "stations", 7),
     (timings(DESIGN, NEAR), "t_rt", -1.0),
-    (resources(DESIGN), "qrs", 99),
-    (check_feasibility(DESIGN, dataclasses.replace(NEAR, t_nv=1e-6))[0], "message", ""),
     (end_to_end_report(NEAR, DESIGN, 0.01), "tau_s", 0.5),
     (McEstimate(0.25, 0.01, 100, 3), "seed", 4),
 ]
