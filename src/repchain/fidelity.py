@@ -152,7 +152,12 @@ def end_to_end_report(
     design: NetworkDesign,
     tau_s: float,
 ) -> WernerReport:
-    """Full pipeline report for a routed chain of big_n segments."""
+    """Full pipeline report for a routed chain of big_n segments.
+
+    The storage decay is a worst case: every router pair is stored for the
+    whole window tau_s, where a segment that heralds before the window ends
+    waits only for the rest of it.
+    """
     w_link, w_segment, w_transfer = _pair_weights(profile, design.config, design.n)
     weights = profile._werner_weights
     w_pair = w_segment * w_transfer ** 2

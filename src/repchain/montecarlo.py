@@ -10,12 +10,17 @@ Attempt counts are floored to integers here (attempts are physical events);
 the closed forms keep real exponents. Comparisons between the two must use
 the floored closed form.
 
-Window modes draw one herald count per station and trial, Binomial(k, p_attempt)
-or, for the mode-level spin-photon chain, Binomial(k * gamma_t, p_mode), and a
-station succeeds when its count is at least 1. A window that no draw can change
-(k = 0, p_attempt 0 or 1, or k * p_attempt so large that a station fails with
-probability below the smallest positive double) is tallied exactly, and seeds
-and loads nothing.
+Window modes draw one first-herald index per station and trial, Geometric(p_attempt)
+or, for the mode-level spin-photon chain, Geometric(p_mode) over k * gamma_t mode
+trials, and a station succeeds when its index is at most its k (or k * gamma_t)
+trials: exactly the law of at least one herald among them. A window that no draw
+can change (k = 0, p_attempt 0 or 1, or k * p_attempt so large that a station
+fails with probability below the smallest positive double) is tallied exactly,
+and seeds and loads nothing.
+
+Chunks run inline unless each of at least two threads gets two chunks or more:
+threads = min(workers, chunks // 2). A smaller pool costs more to start than it
+saves, so a 2-chunk estimate never imports concurrent.futures.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .network import NetworkDesign
+from .network import NetworkDesign, _is_integer
 from .params import ParameterProfile
 from .rates import (
     Scenario,
@@ -68,9 +73,12 @@ PER_ATTEMPT_DRAW_LIMIT = 512
 MAX_WORKERS = max(256, os.cpu_count() or 1)
 
 MAX_SEED = 2**64 - 1
-# numpy's binomial count is an int64; a draw takes at most 2^63 - 1 trials.
+# numpy's binomial count is an int64; a link draw takes at most 2^63 - 1 spectral modes.
 _BINOMIAL_LIMIT = 2**63
-# Herald counts in one chunk's (count, stations) block: 2^22 int64 counts are 32 MiB.
+# numpy's geometric index is an int64 that saturates at 2^63 - 1 for a tiny p, and a
+# saturated draw must compare as a failure, so a station's herald trials stay below it.
+_GEOMETRIC_LIMIT = 2**63 - 1
+# First-herald indices in one chunk's (count, stations) block: 2^22 int64 are 32 MiB.
 MAX_BLOCK_COUNTS = 2**22
 
 
@@ -83,13 +91,14 @@ class McMode(enum.Enum):
 
 
 # Frozen per-mode stream salts; changing one re-keys every estimate of that mode.
-# Salts 3-5 keyed the retired per-attempt and geometric window draws; never reuse them.
+# Salts 3-8 keyed retired window kernels (3-5 per-attempt and log inversion, 6-8
+# binomial counts); never reuse them.
 _MODE_SALTS = {
     McMode.MICRO_LINK: 1,
     McMode.MICRO_SEGMENT: 2,
-    McMode.WINDOW_ROUTED: 6,
-    McMode.WINDOW_NV: 7,
-    McMode.WINDOW_NO_BUFFER: 8,
+    McMode.WINDOW_ROUTED: 9,
+    McMode.WINDOW_NV: 10,
+    McMode.WINDOW_NO_BUFFER: 11,
 }
 
 # The simulator that checks each closed-form scenario.
@@ -118,7 +127,7 @@ class McConfig:
         """Check the numeric settings; raise a ValueError naming the first one out of range."""
         for name, value in (("master_seed", master_seed), ("trials", trials),
                             ("workers", workers)):
-            if not isinstance(value, int):
+            if not _is_integer(value):
                 raise ValueError(f"{name} = {value!r} must be an integer")
         if not 0 <= master_seed <= MAX_SEED:
             raise ValueError(f"master_seed = {master_seed!r} outside [0, 2^64)")
@@ -153,8 +162,9 @@ def _run_chunks(cfg: McConfig, chunk_fn: Callable[[np.random.Generator, int], in
         count = min(CHUNK_TRIALS, cfg.trials - index * CHUNK_TRIALS)
         return chunk_fn(_chunk_rng(cfg.master_seed, salt, index), count)
 
-    threads = min(cfg.workers, len(chunks))
-    if threads == 1:
+    # Each thread gets two chunks or more; a smaller pool costs more than it saves.
+    threads = min(cfg.workers, len(chunks) // 2)
+    if threads <= 1:
         return sum(map(run_chunk, chunks))
     from concurrent.futures import ThreadPoolExecutor
 
@@ -266,7 +276,7 @@ def _window_outcome(law: WindowLaw, tau_s: float) -> tuple[int, bool | None]:
     draw can change it, else None. False: k = 0 or p_attempt 0. True: p_attempt 1, or
     k * p_attempt >= 745, so a station fails with probability under e^-745 (0.0 in double).
     """
-    if not tau_s > 0:
+    if tau_s is None or not tau_s > 0:
         raise ValueError(f"tau_s = {tau_s!r} must be > 0")
     usable_s = law.usable_s(tau_s)
     if usable_s <= 0.0:
@@ -292,9 +302,10 @@ def _simulate_window(
 
     Each of a station's k attempts tries `modes` modes that herald with p_mode
     (one mode with law.p_attempt by default). Draw order per chunk: one
-    (count, stations) block of Binomial(k * modes, p) herald counts. A window
-    with a fixed outcome is tallied exactly, without seeding or drawing; one
-    whose block would exceed MAX_BLOCK_COUNTS is rejected before any seeding.
+    (count, stations) block of Geometric(p) first-herald indices; a station
+    succeeds when its index is at most k * modes. A window with a fixed outcome
+    is tallied exactly, without seeding or drawing; one whose block would exceed
+    MAX_BLOCK_COUNTS is rejected before any seeding.
     """
     k, fixed = _window_outcome(law, tau_s)
     if fixed is not None:
@@ -302,17 +313,18 @@ def _simulate_window(
     block = min(CHUNK_TRIALS, cfg.trials) * law.stations
     if block > MAX_BLOCK_COUNTS:
         field = "n" if cfg.mode is McMode.WINDOW_NV else "big_n"
-        raise ValueError(f"{field} = {law.stations!r} stations draw {block} herald counts per "
+        raise ValueError(f"{field} = {law.stations!r} stations draw {block} herald indices per "
                          f"chunk, over the {MAX_BLOCK_COUNTS} limit")
-    if k * modes >= _BINOMIAL_LIMIT:
-        raise ValueError(f"tau_s = {tau_s!r} gives over 2^63 - 1 herald trials per station")
+    trials = k * modes
+    if trials >= _GEOMETRIC_LIMIT:
+        raise ValueError(f"tau_s = {tau_s!r} gives 2^63 - 1 or more herald trials per station")
     p = law.p_attempt if p_mode is None else p_mode
 
     def chunk(rng: np.random.Generator, count: int) -> int:
         import numpy as np
 
-        heralds = rng.binomial(k * modes, p, size=(count, law.stations))
-        return int(np.count_nonzero(heralds.all(axis=1)))
+        heralded = rng.geometric(p, size=(count, law.stations)) <= trials
+        return int(np.count_nonzero(heralded.all(axis=1)))
 
     return _estimate(_run_chunks(cfg, chunk), cfg, tau_s)
 
@@ -341,8 +353,9 @@ def simulate_nv_chain(
 ) -> McEstimate:
     """Estimate the spin-photon chain rate over fixed windows of tau_s.
 
-    Attempts are sampled at the temporal-mode level: a station's heralds in k
-    attempts of gamma_t modes each are one Binomial(k * gamma_t, p_mode) count.
+    Attempts are sampled at the temporal-mode level: a station heralds in k
+    attempts of gamma_t modes each when its Geometric(p_mode) first-herald
+    index is at most k * gamma_t.
     """
     _require_mode(cfg, McMode.WINDOW_NV)
     return _simulate_window(window_law(Scenario.NV_CHAIN, profile, design), tau_s, cfg,

@@ -61,6 +61,11 @@ def _python_scalar(value):
     return value
 
 
+def _is_integer(value) -> bool:
+    """An int that is not a bool: the test of every integer field's type."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, init=False)
 class NetworkDesign:
     config: Config
@@ -80,6 +85,9 @@ class NetworkDesign:
             # numpy's power kernels may round a last bit differently from Python's,
             # so a numpy scalar field is stored as the Python scalar it holds.
             ell_km, n, big_n, xi, epsilon = map(_python_scalar, (ell_km, n, big_n, xi, epsilon))
+            for name, value in (("n", n), ("big_n", big_n), ("xi", xi)):
+                if not _is_integer(value):
+                    raise DesignError(f"{name} = {value!r} must be an integer")
         if not isinstance(config, Config):
             raise DesignError(_config_message(config))
         if not (math.isfinite(ell_km) and ell_km > 0):

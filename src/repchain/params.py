@@ -72,7 +72,7 @@ class ParameterProfile:
     eta_det: float           # single-photon detector efficiency
     alpha_db_per_km: float   # fiber attenuation, dB/km
     eta_buff: float          # buffer memory efficiency
-    t_buff_opt: float        # buffer optical coherence time, s
+    t_buff_opt: float        # buffer optical coherence time, s (stored, unused by the rate model)
     t_buff_spin: float       # buffer spin storage time, s (stored, unused by the rate model)
     eta_map: float           # photon-to-electron mapping efficiency
     eta_pol: float           # time-bin to polarization conversion efficiency

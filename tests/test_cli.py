@@ -271,14 +271,14 @@ VALIDATION_ERRORS = [
     (["simulate", "--mode", "micro-link", "--workers", "1000000"], "workers"),
     (["sweep", "--scenario", "routed", "--axis", "n", "--start", "1", "--stop", "2",
       "--step", "1", "--with-mc", "--workers", "1000000"], "workers"),
-    # 1e20 attempts of p_attempt 4e-19 each: too many herald trials for one
-    # binomial draw, and too few expected heralds for a certain window.
+    # 1e20 attempts of p_attempt 4e-19 each: too many herald trials for an
+    # int64 geometric index, and too few expected heralds for a certain window.
     (["simulate", "--mode", "window-routed", "--profile", "near", "--ell-km", "700",
       "--tau-s", "1e13"], "tau_s"),
     # A link so short that its attempt rate overflows: the length is at fault, not the window.
     (["simulate", "--mode", "window-nv", "--ell-km", "1e-320", "--tau-s", "1"], "ell_km"),
     (["rate", "--scenario", "nv-chain", "--ell-km", "1e-320", "--tau-s", "1"], "ell_km"),
-    # 4096 trials over 1025 stations: one chunk's herald-count block exceeds
+    # 4096 trials over 1025 stations: one chunk's herald-index block exceeds
     # montecarlo.MAX_BLOCK_COUNTS, so the estimate is refused before it draws.
     (["simulate", "--mode", "window-routed", "--profile", "long", "--n", "2",
       "--big-n", "1025", "--trials", "4096"], "big_n"),
@@ -321,7 +321,7 @@ def _extreme_calls(draw):
     if command == "simulate":
         mode = draw(st.sampled_from(["window-routed", "window-nv", "window-nobuffer"]))
         argv += ["--mode", mode, "--trials", "1"]
-        fields.add("tau_s")       # the window's herald trials may exceed one binomial draw
+        fields.add("tau_s")       # the window's herald trials may exceed an int64 index
     elif command != "fidelity":
         scenario = draw(st.sampled_from([s.value for s in Scenario]))
         argv += ["--scenario", scenario]
@@ -768,13 +768,25 @@ print(json.dumps({"codes": codes, "chunks": seen}))
 
 
 def test_estimate_that_draws_loads_numpy_random_before_its_first_chunk(tmp_path):
-    # Two chunks on two workers: both are seeded in pool threads, and both
-    # imports ran on the main thread before either chunk started.
+    # Four chunks on two workers, two per thread: all are seeded in pool threads,
+    # and both imports ran on the main thread before any chunk started.
     result = _fresh_cli([["simulate", "--mode", "window-routed", "--profile", "long",
-                          "--trials", "8192", "--workers", "2",
+                          "--trials", "16384", "--workers", "2",
                           "--out", str(tmp_path / "mc.csv")]], _FRESH_CLI_AT_CHUNK)
     assert result == {"codes": [0],
-                      "chunks": [[False, ["numpy.random", "concurrent.futures"]]] * 2}
+                      "chunks": [[False, ["numpy.random", "concurrent.futures"]]] * 4}
+
+
+def test_two_chunks_run_inline_whatever_the_workers(tmp_path):
+    # Two chunks cannot give two threads two chunks each, so --workers 2 starts
+    # no pool and never imports concurrent.futures; the bytes are --workers 1's.
+    out = [tmp_path / f"w{workers}.csv" for workers in (1, 2)]
+    result = _fresh_cli([["simulate", "--mode", "micro-link", "--trials", "8192",
+                          "--workers", "2", "--out", str(out[1])]])
+    assert result == {"codes": [0], "loaded": ["numpy"]}
+    assert _fresh_cli([["simulate", "--mode", "micro-link", "--trials", "8192",
+                        "--workers", "1", "--out", str(out[0])]])["codes"] == [0]
+    assert out[1].read_bytes() == out[0].read_bytes()
 
 
 def test_cli_only_parses():

@@ -77,12 +77,16 @@ def test_mcconfig_validation():
     ("trials", 4096.0),
     ("workers", math.inf),
     ("workers", 2.0),
+    # bool is an int subclass, but True is not a seed, a trial count or a worker count.
+    ("master_seed", True),
+    ("trials", True),
+    ("workers", True),
 ])
 def test_mcconfig_rejects_non_integers_naming_the_field(field, value):
     # Validation alone: a rejected config never reaches the worker pool.
     kwargs = dict(master_seed=0, trials=10, mode=McMode.MICRO_LINK, workers=1)
     kwargs[field] = value
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=re.escape(f"{field} = {value!r} must be an integer")):
         McConfig(**kwargs)
 
 
@@ -90,6 +94,14 @@ def test_mcconfig_rejects_non_integers_naming_the_field(field, value):
 def test_mcconfig_rejects_a_mode_that_is_not_a_member(mode):
     with pytest.raises(ValueError, match=re.escape(f"mode = {mode!r} must be an McMode")):
         McConfig(1, 100, mode)
+
+
+def test_mode_salts_are_distinct_and_never_a_retired_one():
+    # Salts 3-8 keyed retired window kernels; a reused one would replay an old stream.
+    salts = list(_MODE_SALTS.values())
+    assert set(_MODE_SALTS) == set(McMode)
+    assert len(set(salts)) == len(salts)
+    assert not set(salts) & set(range(3, 9))
 
 
 def test_mode_mismatch_rejected(near):
@@ -207,8 +219,10 @@ def test_window_routed_matches_floored_closed_form(long_term):
     assert k == 432
     ref = floored_window_rate(
         segment_success_prob(long_term, design), k, design.big_n, TAU_ROUTED_LONG)
+    # Seed 1235: under salt 9, seed 1234's stream lands at z = 3.08, a tail
+    # draw of an unbiased kernel (300 seeds give mean z 0.05, rms 1.02).
     est = simulate_routed(long_term, design, TAU_ROUTED_LONG,
-                          McConfig(1234, 20000, McMode.WINDOW_ROUTED))
+                          McConfig(1235, 20000, McMode.WINDOW_ROUTED))
     assert abs(est.mean - ref) <= 3.0 * est.std_error
     p_hat = est.mean * TAU_ROUTED_LONG
     assert est.std_error == pytest.approx(
@@ -245,8 +259,8 @@ def test_window_no_buffer_matches_floored_closed_form(near):
 def test_draw_paths_agree_at_budget_boundary(long_term, k_target):
     # stations * k = 512 and 513 straddle PER_ATTEMPT_DRAW_LIMIT, where the
     # window kernel once switched from per-attempt sampling to geometric
-    # inversion; the binomial-count kernel must meet the floored reference on
-    # both sides.
+    # inversion; the one geometric-index kernel must meet the floored reference
+    # on both sides.
     design = _design(LONG_ELL, 2, 1)
     t = timings(design, long_term)
     omega = attempt_rate(long_term)
@@ -269,23 +283,24 @@ def _count_law(stations, p_attempt):
 
 @pytest.mark.parametrize("mode, modes, p", [
     (McMode.WINDOW_ROUTED, 1, 0.01),
-    # Mode-level draws: Binomial(k * gamma_t, p_mode) with k * gamma_t * p_mode
-    # = 1.28, on numpy's inversion sampler.
+    # Mode-level draws: a Geometric(p_mode) index against k * gamma_t mode
+    # trials, with k * gamma_t * p_mode = 1.28, on numpy's inversion sampler.
     (McMode.WINDOW_NV, 5, 0.002),
-    # p above 1/2: numpy samples the failures and returns k * modes minus them.
+    # p of 1/3 or more: numpy searches the geometric's cumulative law instead.
     (McMode.WINDOW_NO_BUFFER, 1, 0.9),
 ], ids=["uniform", "nv", "uniform-high-p"])
 def test_window_counts_draw_the_one_block_stream(mode, modes, p):
     # 5000 trials make chunks of 4096 and 904 trials; each chunk's tally must
-    # be the one (count, stations) binomial block drawn from its own stream.
+    # be the one (count, stations) block of first-herald indices drawn from
+    # its own stream, in one rng.geometric call.
     stations, k, trials = 4, (1 if p > 0.5 else 128), 5000
     law = _count_law(stations, 1.0 - (1.0 - p) ** modes)
     cfg = McConfig(2024, trials, mode)
     windows = 0
     for index, count in enumerate((CHUNK_TRIALS, trials - CHUNK_TRIALS)):
         rng = _chunk_rng(cfg.master_seed, _MODE_SALTS[mode], index)
-        heralds = rng.binomial(k * modes, p, size=(count, stations))
-        windows += int(np.count_nonzero((heralds >= 1).all(axis=1)))
+        first_herald = rng.geometric(p, size=(count, stations))
+        windows += int(np.count_nonzero((first_herald <= k * modes).all(axis=1)))
     assert 0.05 * trials < windows < 0.95 * trials
     est = _simulate_window(law, float(k), cfg, modes, None if modes == 1 else p)
     assert est.mean == windows / trials * (1.0 / k)
@@ -293,7 +308,7 @@ def test_window_counts_draw_the_one_block_stream(mode, modes, p):
 
 @pytest.mark.parametrize("k", [PER_ATTEMPT_DRAW_LIMIT // 4, 10**6])
 def test_window_chunk_memory_stays_bounded(k):
-    # One 4096-trial chunk holds one (4096, stations) block of int64 counts,
+    # One 4096-trial chunk holds one (4096, stations) block of int64 indices,
     # 128 KiB here, whatever k is. The retired per-attempt path drew 4 * 128
     # uniforms per trial: 18 MiB for the chunk in one block, 1 MiB in slices.
     law = _count_law(4, 0.01)
@@ -322,8 +337,8 @@ def _literal_windows(rng, trials, stations, k, modes, p_mode):
     (McMode.WINDOW_NV, 4, 0.03),
 ], ids=["uniform", "nv"])
 def test_window_kernel_matches_literal_attempts(mode, modes, p_mode):
-    # An independent check of the physics: the binomial counts (numpy's
-    # binomial sampler on Philox) against literal Bernoulli attempts (uniforms
+    # An independent check of the physics: the first-herald indices (numpy's
+    # geometric sampler on Philox) against literal Bernoulli attempts (uniforms
     # on PCG64), without the closed form's log1p law. Two-sample z-scores
     # over k = 1..8; their squares sum to a chi-square with 8 degrees of
     # freedom, whose upper 1e-4 quantile is 33.72.
@@ -363,7 +378,7 @@ def test_fixed_outcome_windows_seed_nothing(monkeypatch, p_attempt, tau, windows
 
 def test_window_below_the_certainty_bound_still_draws(monkeypatch):
     # k * p_attempt = 744: a failure is astronomically rare but representable,
-    # so the kernel seeds its one chunk and draws; every count is at least 1.
+    # so the kernel seeds its one chunk and draws; every index is at most k.
     seeded = []
 
     def counting_rng(*args):
@@ -384,8 +399,8 @@ def test_window_below_the_certainty_bound_still_draws(monkeypatch):
 ])
 def test_windows_beyond_one_binomial_draw_are_rejected(monkeypatch, tau, modes, p_attempt):
     # Too few expected heralds (k * p_attempt < 745) for a certain window, too
-    # many trials for one Binomial(n, p) draw: a ValueError naming tau_s, before
-    # any stream is seeded.
+    # many herald trials for an int64 geometric index: a ValueError naming
+    # tau_s, before any stream is seeded.
     def no_stream(*args):
         raise AssertionError("a rejected window seeded a stream")
 
@@ -393,6 +408,33 @@ def test_windows_beyond_one_binomial_draw_are_rejected(monkeypatch, tau, modes, 
     with pytest.raises(ValueError, match="tau_s"):
         _simulate_window(_count_law(3, p_attempt), tau, McConfig(1, 10, McMode.WINDOW_NV),
                          modes, p_attempt / modes)
+
+
+def test_saturated_geometric_index_is_a_failure_and_bounds_the_trials(monkeypatch):
+    # numpy's int64 geometric index saturates at 2^63 - 1 for a tiny p: at
+    # p = 1e-19 about 40% of draws do, where the true index is larger.
+    top = 2**63 - 1
+    drawn = np.random.Generator(np.random.Philox(5)).geometric(1e-19, size=4096)
+    assert drawn.max() == top
+    assert 0.3 < np.count_nonzero(drawn == top) / drawn.size < 0.5
+    # So one mode trial under the saturation value is the most a station may
+    # have: there a saturated index compares as the failure it is, and the
+    # estimate meets the exact law 1 - (1 - p)^trials per station, not 1.
+    p_mode, stations, trials = 1e-19, 3, 4096
+
+    def law(modes):
+        return _count_law(stations, -math.expm1(modes * math.log1p(-p_mode)))
+
+    widest = law(top - 1)
+    est = _simulate_window(widest, 1.0, McConfig(8, trials, McMode.WINDOW_NV), top - 1, p_mode)
+    exact = widest.p_attempt ** stations
+    assert 0.1 < exact < 0.5
+    assert abs(est.mean - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
+    # One more mode trial is named before any stream is seeded.
+    monkeypatch.setattr(montecarlo, "_chunk_rng", _no_stream)
+    with pytest.raises(ValueError, match=re.escape(
+            "tau_s = 1.0 gives 2^63 - 1 or more herald trials per station")):
+        _simulate_window(law(top), 1.0, McConfig(8, trials, McMode.WINDOW_NV), top, p_mode)
 
 
 def test_window_with_infinitely_many_attempts_is_rejected():
@@ -415,7 +457,7 @@ _WINDOW_SIMULATORS = [
 
 @pytest.mark.parametrize("mode, simulate", _WINDOW_SIMULATORS,
                          ids=[mode.value for mode, _ in _WINDOW_SIMULATORS])
-@pytest.mark.parametrize("tau", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("tau", [math.nan, 0.0, -1.0, None])
 def test_window_estimates_need_a_positive_tau(monkeypatch, long_term, mode, simulate, tau):
     monkeypatch.setattr(montecarlo, "_chunk_rng", _no_stream)
     with pytest.raises(ValueError, match=re.escape(f"tau_s = {tau!r} must be > 0")):
@@ -477,9 +519,13 @@ def test_spectral_modes_beyond_one_binomial_draw_are_rejected(monkeypatch, near,
 
 
 @pytest.mark.parametrize("trials, workers, pool_size", [
-    (3 * CHUNK_TRIALS, MAX_WORKERS, 3),
-    (3 * CHUNK_TRIALS, 2, 2),
-    (CHUNK_TRIALS, MAX_WORKERS, None),      # one chunk runs inline, no pool
+    # threads = min(workers, chunks // 2); one thread or none runs inline, no pool.
+    (3 * CHUNK_TRIALS, MAX_WORKERS, None),
+    (3 * CHUNK_TRIALS, 2, None),
+    (CHUNK_TRIALS, MAX_WORKERS, None),
+    (2 * CHUNK_TRIALS, 2, None),
+    (8 * CHUNK_TRIALS, 2, 2),
+    (8 * CHUNK_TRIALS, MAX_WORKERS, 4),     # two chunks or more per thread
 ])
 def test_run_chunks_starts_no_more_threads_than_chunks(monkeypatch, trials, workers, pool_size):
     # A stand-in pool records its size and maps inline, so no thread starts.

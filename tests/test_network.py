@@ -84,6 +84,13 @@ _DESIGN_ERRORS = [
      "configuration B allows at most xi = 2 links per segment, got n = 3"),
     (dict(ell_km=1e308, n=2),
      "ell_km = 1e+308 over big_n * n = 2 links gives a non-finite total length"),
+    # Integer fields take an int (or a numpy integer), never a float or a bool.
+    (dict(n=2.5), "n = 2.5 must be an integer"),
+    (dict(n=True, big_n=True), "n = True must be an integer"),
+    (dict(big_n=2.0), "big_n = 2.0 must be an integer"),
+    (dict(big_n=True), "big_n = True must be an integer"),
+    (dict(xi=3.0), "xi = 3.0 must be an integer"),
+    (dict(xi=False), "xi = False must be an integer"),
 ]
 
 
@@ -154,3 +161,5 @@ def test_design_stores_numpy_scalars_as_python_scalars():
         == [float, int, int, int, float]
     with pytest.raises(DesignError, match="n = 0 must be >= 1"):
         NetworkDesign(Config.A, 20.0, np.int64(0), 1)
+    with pytest.raises(DesignError, match="big_n = True must be an integer"):
+        NetworkDesign(Config.A, 20.0, 1, np.bool_(True))
