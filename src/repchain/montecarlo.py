@@ -18,9 +18,9 @@ can change (k = 0, p_attempt 0 or 1, or k * p_attempt so large that a station
 fails with probability below the smallest positive double) is tallied exactly,
 and seeds and loads nothing.
 
-Chunks run inline unless each of at least two threads gets two chunks or more:
-threads = min(workers, chunks // 2). A smaller pool costs more to start than it
-saves, so a 2-chunk estimate never imports concurrent.futures.
+Chunks run inline unless each of at least two threads gets four chunks or more:
+threads = min(workers, chunks // 4). A smaller pool costs more to start than it
+saves, so an estimate of fewer than 8 chunks never imports concurrent.futures.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .network import NetworkDesign, _is_integer
-from .params import ParameterProfile
+from .network import NetworkDesign
+from .params import ParameterProfile, _is_integer
 from .rates import (
     Scenario,
     WindowLaw,
@@ -162,8 +162,8 @@ def _run_chunks(cfg: McConfig, chunk_fn: Callable[[np.random.Generator, int], in
         count = min(CHUNK_TRIALS, cfg.trials - index * CHUNK_TRIALS)
         return chunk_fn(_chunk_rng(cfg.master_seed, salt, index), count)
 
-    # Each thread gets two chunks or more; a smaller pool costs more than it saves.
-    threads = min(cfg.workers, len(chunks) // 2)
+    # Each thread gets four chunks or more; a smaller pool costs more than it saves.
+    threads = min(cfg.workers, len(chunks) // 4)
     if threads <= 1:
         return sum(map(run_chunk, chunks))
     from concurrent.futures import ThreadPoolExecutor

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .params import ParameterProfile
+from .params import ParameterProfile, _is_integer
 
 __all__ = [
     "Config",
@@ -59,11 +59,6 @@ def _python_scalar(value):
     if numpy is not None and isinstance(value, numpy.generic):
         return value.item()
     return value
-
-
-def _is_integer(value) -> bool:
-    """An int that is not a bool: the test of every integer field's type."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, init=False)

@@ -170,6 +170,11 @@ def builtin_profile(era: Era | str) -> ParameterProfile:
         ) from None
 
 
+def _is_integer(value) -> bool:
+    """An int that is not a bool: the test of every integer field's type."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_fidelity(name: str, value: float) -> float:
     """Return value if it is a Bell fidelity in [0.25, 1]; else raise naming the field."""
     if not 0.25 <= value <= 1.0:
@@ -195,7 +200,7 @@ def validate_profile(profile: ParameterProfile) -> ParameterProfile:
             raise ParameterValidationError(f"{name} = {value!r} must be > 0")
     for name in _COUNT_FIELDS:
         value = getattr(profile, name)
-        if not isinstance(value, int) or value < 0:
+        if not _is_integer(value) or value < 0:
             raise ParameterValidationError(
                 f"{name} = {value!r} must be a nonnegative integer"
             )

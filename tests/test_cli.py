@@ -768,17 +768,17 @@ print(json.dumps({"codes": codes, "chunks": seen}))
 
 
 def test_estimate_that_draws_loads_numpy_random_before_its_first_chunk(tmp_path):
-    # Four chunks on two workers, two per thread: all are seeded in pool threads,
+    # Eight chunks on two workers, four per thread: all are seeded in pool threads,
     # and both imports ran on the main thread before any chunk started.
     result = _fresh_cli([["simulate", "--mode", "window-routed", "--profile", "long",
-                          "--trials", "16384", "--workers", "2",
+                          "--trials", "32768", "--workers", "2",
                           "--out", str(tmp_path / "mc.csv")]], _FRESH_CLI_AT_CHUNK)
     assert result == {"codes": [0],
-                      "chunks": [[False, ["numpy.random", "concurrent.futures"]]] * 4}
+                      "chunks": [[False, ["numpy.random", "concurrent.futures"]]] * 8}
 
 
 def test_two_chunks_run_inline_whatever_the_workers(tmp_path):
-    # Two chunks cannot give two threads two chunks each, so --workers 2 starts
+    # Two chunks cannot give two threads four chunks each, so --workers 2 starts
     # no pool and never imports concurrent.futures; the bytes are --workers 1's.
     out = [tmp_path / f"w{workers}.csv" for workers in (1, 2)]
     result = _fresh_cli([["simulate", "--mode", "micro-link", "--trials", "8192",

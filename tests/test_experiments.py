@@ -115,6 +115,17 @@ def test_total_km_invariant(profiles, study):
         assert row.total_km == pytest.approx(span, rel=1e-12)
 
 
+def test_config_compare_pairs_match_length_exactly(profiles):
+    # Each config-B design halves the link and doubles the links, and halving is
+    # exact in binary floating point, so every A/B pair spans the same total_km.
+    rows, _ = run_study(Study.CONFIG_COMPARE, profiles)
+    pairs = list(zip(rows[::2], rows[1::2]))
+    assert len(pairs) == 20
+    for a, b in pairs:
+        assert (a.era, a.config, b.config) == (b.era, "A", "B")
+        assert a.total_km == b.total_km
+
+
 def test_studies_are_deterministic(profiles):
     first = rows_to_csv(run_study(Study.RATE_VS_ROUTERS, profiles)[0])
     second = rows_to_csv(run_study(Study.RATE_VS_ROUTERS, profiles)[0])
@@ -264,7 +275,7 @@ def test_run_custom_counts_and_hidden_columns(profiles):
     )
     rows, checks = run_custom(spec)
     assert len(rows) == 8
-    assert checks[0].name == "row-count" and checks[0].passed
+    assert checks == []
     for row in rows:
         assert row.config is None
         assert row.big_n is None

@@ -519,13 +519,14 @@ def test_spectral_modes_beyond_one_binomial_draw_are_rejected(monkeypatch, near,
 
 
 @pytest.mark.parametrize("trials, workers, pool_size", [
-    # threads = min(workers, chunks // 2); one thread or none runs inline, no pool.
+    # threads = min(workers, chunks // 4); one thread or none runs inline, no pool.
     (3 * CHUNK_TRIALS, MAX_WORKERS, None),
     (3 * CHUNK_TRIALS, 2, None),
     (CHUNK_TRIALS, MAX_WORKERS, None),
     (2 * CHUNK_TRIALS, 2, None),
+    (4 * CHUNK_TRIALS, 2, None),
     (8 * CHUNK_TRIALS, 2, 2),
-    (8 * CHUNK_TRIALS, MAX_WORKERS, 4),     # two chunks or more per thread
+    (8 * CHUNK_TRIALS, MAX_WORKERS, 2),     # four chunks or more per thread
 ])
 def test_run_chunks_starts_no_more_threads_than_chunks(monkeypatch, trials, workers, pool_size):
     # A stand-in pool records its size and maps inline, so no thread starts.

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,9 +116,12 @@ def test_load_profile_rejects_non_finite_value(tmp_path):
         load_profile(path)
 
 
-def test_validate_rejects_fractional_count(near):
-    bad = dataclasses.replace(near, gamma_f=2.5)
-    with pytest.raises(ParameterValidationError, match="gamma_f"):
+@pytest.mark.parametrize("field, value", [("gamma_f", 2.5), ("gamma_t", True), ("gamma_f", False)])
+def test_validate_rejects_fractional_count(near, field, value):
+    # A bool is an int to isinstance, but no mode count: the one integer rule refuses it.
+    bad = dataclasses.replace(near, **{field: value})
+    with pytest.raises(ParameterValidationError,
+                       match=re.escape(f"{field} = {value!r} must be a nonnegative integer")):
         validate_profile(bad)
 
 

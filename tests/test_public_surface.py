@@ -45,29 +45,63 @@ def test_package_imports_only_public_names():
 ROOT = Path(__file__).resolve().parents[1]
 
 
+SOURCES = sorted((ROOT / "src" / "repchain").glob("*.py"))
+
+
 def _used_names(path, strings):
-    """Names a file reads as a Name or an Attribute, plus its string constants if asked."""
+    """Names a file reads as a Name or an Attribute, plus its string constants if asked.
+
+    Only reads count: the target of an assignment does not use the name it binds.
+    """
     used = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             used.add(node.attr)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             used.add(node.value)
     return used
 
 
-def test_every_public_name_has_a_caller():
-    # A public name that neither the library nor the benchmark reads is surface
-    # nothing uses; tests alone do not keep it. bench/ reaches some functions
-    # by their name as a string, so its string constants count too.
+def _library_and_bench_reads():
+    # bench/ reaches some functions by their name as a string, so its string
+    # constants count too.
     used = set()
-    for path in sorted((ROOT / "src" / "repchain").glob("*.py")):
+    for path in SOURCES:
         used |= _used_names(path, strings=False)
     for path in sorted((ROOT / "bench").glob("*.py")):
         used |= _used_names(path, strings=True)
+    return used
+
+
+def _private_module_names(path):
+    """The _names a module binds at its top level: functions, classes and assignments."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_public_name_has_a_caller():
+    # A public name that neither the library nor the benchmark reads is surface
+    # nothing uses; tests alone do not keep it.
+    used = _library_and_bench_reads()
     assert [name for name in repchain.__all__ if name not in used] == []
+
+
+def test_every_private_module_name_has_a_reader():
+    # A private helper or constant whose last reader went is dead code; tests
+    # alone do not keep it.
+    used = _library_and_bench_reads()
+    defined = [(path.name, name) for path in SOURCES for name in _private_module_names(path)]
+    assert defined
+    assert [(module, name) for module, name in defined if name not in used] == []
 
 
 NEAR = repchain.builtin_profile("near")

@@ -3,13 +3,11 @@
 import pytest
 
 from repchain import (
-    CSV_HEADER,
     CheckResult,
     Config,
     McEstimate,
     NetworkDesign,
     Scenario,
-    SweepRow,
     builtin_profile,
     end_to_end_report,
     max_link_length,
@@ -25,7 +23,7 @@ DESIGN = NetworkDesign(Config.A, max_link_length(NEAR), 1, 2)
 # (record, a field, a value that differs from the record's own)
 RECORDS = [
     (rate_row("near", NEAR, DESIGN, Scenario.ROUTED), "era", "long"),
-    (CheckResult("row-count", True), "passed", False),
+    (CheckResult("qber-anchor", True), "passed", False),
     (routed_rate(NEAR, DESIGN), "rate_hz", -1.0),
     (window_law(Scenario.ROUTED, NEAR, DESIGN), "stations", 7),
     (timings(DESIGN, NEAR), "t_rt", -1.0),
@@ -45,8 +43,3 @@ def test_result_record_contract(record, field, value):
     assert getattr(changed, field) == value
     assert changed != record
     assert changed._replace(**{field: getattr(record, field)}) == record
-
-
-def test_csv_columns_follow_the_row_fields():
-    # rows_to_csv writes a row's values in field order, so the two must agree.
-    assert CSV_HEADER.split(",") == ["N" if f == "big_n" else f for f in SweepRow._fields]
