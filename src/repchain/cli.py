@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 usage error, 2 validation error (bad parameter
 values, malformed profile files, unusable designs). Runner check failures
 are reported on stderr but exit 0: the rows are valid output and the checks
 are part of it.
+
+Each call starts a new interpreter, so the module top imports only the standard
+library: the parser holds the invoked command's arguments alone, and each command
+imports the engine names it calls.
 """
 
 from __future__ import annotations
@@ -14,27 +18,12 @@ import math
 import re
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .experiments import (
-    CheckResult,
-    McOptions,
-    Study,
-    SweepSpec,
-    fidelity_row,
-    rate_row,
-    rows_to_csv,
-    run_custom,
-    run_study,
-    simulate_row,
-    write_csv,
-)
-from .montecarlo import McConfig, McMode
-from .network import Config, NetworkDesign, max_link_length
-from .params import Era, ParameterProfile, builtin_profile, load_profile
-from .rates import Scenario
-
-_ERA_TOKENS = tuple(era.value for era in Era)
+if TYPE_CHECKING:
+    from .experiments import CheckResult, McOptions
+    from .network import NetworkDesign
+    from .params import ParameterProfile
 
 
 class _UsageError(Exception):
@@ -55,7 +44,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_profile(token: str) -> tuple[str, ParameterProfile]:
-    if token in _ERA_TOKENS:
+    from .params import Era, builtin_profile, load_profile
+
+    if token in {era.value for era in Era}:
         return token, builtin_profile(token)
     return Path(token).stem, load_profile(token)
 
@@ -93,10 +84,14 @@ def _add_mc_args(parser: argparse.ArgumentParser) -> None:
 
 def _ell_km(args: argparse.Namespace, profile: ParameterProfile) -> float:
     """--ell-km, by default the longest link the profile's memory storage covers."""
+    from .network import max_link_length
+
     return args.ell_km if args.ell_km is not None else max_link_length(profile)
 
 
 def _design_from_args(args: argparse.Namespace, profile: ParameterProfile) -> NetworkDesign:
+    from .network import Config, NetworkDesign
+
     return NetworkDesign(
         config=Config(args.config),
         ell_km=_ell_km(args, profile),
@@ -109,6 +104,8 @@ def _design_from_args(args: argparse.Namespace, profile: ParameterProfile) -> Ne
 
 def _mc_options(args: argparse.Namespace) -> McOptions:
     """The MC flags; McOptions checks them as simulate does, whether or not anything draws."""
+    from .experiments import McOptions
+
     return McOptions(args.with_mc, args.seed, args.trials, args.workers)
 
 
@@ -126,6 +123,8 @@ def _tau_arg(args: argparse.Namespace, allow_zero: bool = False) -> float | None
 
 def _emit(out: str | None, rows: Sequence, checks: Sequence[CheckResult] = ()) -> int:
     """Write the rows, then report failed checks on stderr; the exit code stays 0."""
+    from .experiments import rows_to_csv, write_csv
+
     if out is None:
         sys.stdout.write(rows_to_csv(rows))
     else:
@@ -139,16 +138,26 @@ def _emit(out: str | None, rows: Sequence, checks: Sequence[CheckResult] = ()) -
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
+    from .experiments import rate_row
+    from .rates import Scenario
+
     era, profile = _resolve_profile(args.profile)
     tau_s = _tau_arg(args)
     scenario = Scenario(args.scenario)
     design = _design_from_args(args, profile)
     if tau_s is not None and scenario is Scenario.SEGMENT:
         print("note: --tau-s does not apply to the segment scenario", file=sys.stderr)
-    return _emit(args.out, [rate_row(era, profile, design, scenario, tau_s)])
+    row = rate_row(era, profile, design, scenario, tau_s)
+    # The clamp flag reports the storage-time clamp only; a raise to the floor is told here.
+    if tau_s is not None and row.tau_s is not None and row.tau_s > tau_s:
+        print(f"note: --tau-s {tau_s!r} is below the {scenario.value} handoff floor; "
+              f"the window is {row.tau_s!r} s", file=sys.stderr)
+    return _emit(args.out, [row])
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
+    from .experiments import fidelity_row
+
     era, profile = _resolve_profile(args.profile)
     design = _design_from_args(args, profile)
     row = fidelity_row(era, profile, design, _tau_arg(args, allow_zero=True))
@@ -156,6 +165,9 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .experiments import simulate_row
+    from .montecarlo import McConfig, McMode
+
     era, profile = _resolve_profile(args.profile)
     design = _design_from_args(args, profile)
     cfg = McConfig(args.seed, args.trials, McMode(args.mode), args.workers)
@@ -166,6 +178,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from .experiments import Study, run_study
+    from .params import builtin_profile
+
     mc = _mc_options(args)
     study = Study(args.study)
     labels = ("near", "long") if args.era == "both" else (args.era,)
@@ -174,6 +189,10 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .experiments import SweepSpec, run_custom
+    from .network import Config
+    from .rates import Scenario
+
     mc = _mc_options(args)
     era, profile = _resolve_profile(args.profile)
     spec = SweepSpec(
@@ -188,7 +207,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return _emit(args.out, *run_custom(spec))
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand's help line and handler, in --help order.
+_COMMANDS = {
+    "rate": ("closed-form pair rate for one design", _cmd_rate),
+    "fidelity": ("end-to-end fidelity and QBER for one design", _cmd_fidelity),
+    "simulate": ("seeded Monte Carlo estimate for one design", _cmd_simulate),
+    "reproduce": ("run a standard study and write its CSV", _cmd_reproduce),
+    "sweep": ("sweep one design axis for one scenario", _cmd_sweep),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand with its help line, and the arguments of `command`, or of all for None."""
     parser = _Parser(
         prog="repchain",
         description="Capacity and fidelity engine for buffered-router repeater chains.",
@@ -196,81 +226,57 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command", required=True, metavar="COMMAND", parser_class=_Parser,
     )
-
-    p_rate = sub.add_parser(
-        "rate",
-        help="closed-form pair rate for one design",
-    )
-    p_rate.add_argument("--scenario", required=True,
-                        choices=[s.value for s in Scenario])
-    _add_design_args(p_rate)
-    p_rate.add_argument("--tau-s", type=float, default=None, metavar="F",
-                        help="explicit window duration for the windowed scenarios "
-                             "(nv-chain, routed, routed-nobuffer)")
-    p_rate.set_defaults(func=_cmd_rate)
-
-    p_fid = sub.add_parser(
-        "fidelity",
-        help="end-to-end fidelity and QBER for one design",
-    )
-    _add_design_args(p_fid)
-    p_fid.add_argument("--tau-s", type=float, default=None, metavar="F",
-                       help="storage duration (default: the design's window duration)")
-    p_fid.set_defaults(func=_cmd_fidelity)
-
-    p_sim = sub.add_parser(
-        "simulate",
-        help="seeded Monte Carlo estimate for one design",
-    )
-    p_sim.add_argument("--mode", required=True,
-                       choices=[m.value for m in McMode])
-    _add_design_args(p_sim)
-    p_sim.add_argument("--tau-s", type=float, default=None, metavar="F",
-                       help="window duration for window modes "
-                            "(default: the closed-form duration)")
-    _add_mc_args(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_rep = sub.add_parser(
-        "reproduce",
-        help="run a standard study and write its CSV",
-    )
-    p_rep.add_argument("--study", required=True,
-                       choices=[s.value for s in Study])
-    p_rep.add_argument("--era", choices=("near", "long", "both"), default="both")
-    p_rep.add_argument("--out", required=True, metavar="PATH")
-    p_rep.set_defaults(func=_cmd_reproduce)
-
-    p_sweep = sub.add_parser(
-        "sweep",
-        help="sweep one design axis for one scenario",
-    )
-    p_sweep.add_argument("--scenario", required=True,
-                         choices=[s.value for s in Scenario])
-    p_sweep.add_argument("--axis", required=True, choices=("n", "big-n", "ell-km"))
-    p_sweep.add_argument("--start", type=float, required=True)
-    p_sweep.add_argument("--stop", type=float, required=True)
-    p_sweep.add_argument("--step", type=float, required=True)
-    _add_design_args(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
+    p = {name: sub.add_parser(name, help=help_line) for name, (help_line, _) in _COMMANDS.items()}
+    wanted = set(_COMMANDS) if command is None else {command}
+    if wanted & {"rate", "sweep"}:
+        from .rates import Scenario
+    if "rate" in wanted:
+        p["rate"].add_argument("--scenario", required=True, choices=[s.value for s in Scenario])
+        _add_design_args(p["rate"])
+        p["rate"].add_argument("--tau-s", type=float, default=None, metavar="F",
+                               help="explicit window duration for the windowed scenarios "
+                                    "(nv-chain, routed, routed-nobuffer)")
+    if "fidelity" in wanted:
+        _add_design_args(p["fidelity"])
+        p["fidelity"].add_argument("--tau-s", type=float, default=None, metavar="F",
+                                   help="storage duration (default: the design's window duration)")
+    if "simulate" in wanted:
+        from .montecarlo import McMode
+        p["simulate"].add_argument("--mode", required=True, choices=[m.value for m in McMode])
+        _add_design_args(p["simulate"])
+        p["simulate"].add_argument("--tau-s", type=float, default=None, metavar="F",
+                                   help="window duration for window modes "
+                                        "(default: the closed-form duration)")
+        _add_mc_args(p["simulate"])
+    if "reproduce" in wanted:
+        from .experiments import Study
+        p["reproduce"].add_argument("--study", required=True, choices=[s.value for s in Study])
+        p["reproduce"].add_argument("--era", choices=("near", "long", "both"), default="both")
+        p["reproduce"].add_argument("--out", required=True, metavar="PATH")
+    if "sweep" in wanted:
+        p["sweep"].add_argument("--scenario", required=True, choices=[s.value for s in Scenario])
+        p["sweep"].add_argument("--axis", required=True, choices=("n", "big-n", "ell-km"))
+        for bound in ("--start", "--stop", "--step"):
+            p["sweep"].add_argument(bound, type=float, required=True)
+        _add_design_args(p["sweep"])
     # simulate always draws; reproduce and sweep draw on request.
-    for p in (p_rep, p_sweep):
-        p.add_argument("--with-mc", action="store_true",
-                       help="attach Monte Carlo estimates to each row")
-        _add_mc_args(p)
+    for name in wanted & {"reproduce", "sweep"}:
+        p[name].add_argument("--with-mc", action="store_true",
+                             help="attach Monte Carlo estimates to each row")
+        _add_mc_args(p[name])
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][1](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

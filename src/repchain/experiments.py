@@ -16,9 +16,10 @@ mode and an optional tau_s, never a report. _row applies the column rules
 once: only routed chains show N (fidelity rows describe one); the nv
 chain hides config; micro-link shows config and n = 1; total_km is
 N * n * ell_km over the columns present in the row; rows without a window
-leave tau_s and tau_clamped empty; qber follows from fidelity. Micro Monte
-Carlo scenarios report a probability in the mc_rate_hz / mc_std_error
-columns; all other scenarios report rates in Hz.
+leave tau_s and tau_clamped empty; callers with a fidelity pass its qber.
+Micro Monte Carlo scenarios report a probability in the mc_rate_hz /
+mc_std_error columns; all other scenarios report rates in Hz. fidelity and
+montecarlo are imported inside the functions that call them.
 """
 
 from __future__ import annotations
@@ -27,16 +28,16 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .fidelity import end_to_end_report, qber, router_pair_werner, werner_to_fidelity
-from .montecarlo import (
-    SCENARIO_MODES, McConfig, McEstimate, McMode, simulate_scenario, window_reference)
 from .network import Config, NetworkDesign, _python_scalar, max_link_length
-from .params import ParameterProfile
+from .params import ParameterProfile, _check_mc_settings
 from .rates import (
     _NV_CHAIN, Scenario, _scenario_message, attempt_rate, routed_cutoff_time, scenario_rate,
     window_law)
+
+if TYPE_CHECKING:
+    from .montecarlo import McConfig, McEstimate
 
 __all__ = [
     "CSV_HEADER",
@@ -68,9 +69,6 @@ MAX_SWEEP_POINTS = 10_000
 
 # Scenarios with routers; the others run on one segment and hide the N column.
 ROUTED_SCENARIOS = (Scenario.ROUTED, Scenario.ROUTED_NO_BUFFER)
-
-# The closed-form scenario each simulator checks; micro-link checks none.
-_MODE_SCENARIOS = {mode: scenario for scenario, mode in SCENARIO_MODES.items()}
 
 
 class SweepError(ValueError):
@@ -122,7 +120,7 @@ class McOptions:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        McConfig.check(self.seed, self.trials, self.workers)
+        _check_mc_settings(self.seed, self.trials, self.workers)
 
 
 def _cell(value) -> str:
@@ -171,7 +169,7 @@ def _check_era_label(era: str) -> None:
 def _row(label: str, era: str, design: NetworkDesign, scenario: Scenario | None,
          tau_s: float | None = None, tau_clamped: bool | None = None,
          rate_hz: float | None = None, fidelity: float | None = None,
-         est: McEstimate | None = None) -> SweepRow:
+         qber: float | None = None, est: McEstimate | None = None) -> SweepRow:
     """The one row constructor; scenario None is a single link (micro-link)."""
     routed = scenario in ROUTED_SCENARIOS
     n = design.n if scenario is not None else 1
@@ -180,8 +178,7 @@ def _row(label: str, era: str, design: NetworkDesign, scenario: Scenario | None,
         label, era, None if scenario is _NV_CHAIN else design.config._value_,
         n, design.big_n if routed else None, design.ell_km,
         (design.big_n if routed else 1) * n * design.ell_km,
-        tau_s, tau_clamped if tau_s is not None else None, rate_hz, fidelity,
-        qber(fidelity) if fidelity is not None else None,
+        tau_s, tau_clamped if tau_s is not None else None, rate_hz, fidelity, qber,
         est.mean if est else None, est.std_error if est else None,
         est.seed if est else None,
     )
@@ -203,6 +200,8 @@ def rate_row(
     report = scenario_rate(scenario, profile, design, tau_s)
     est = None
     if mc.enabled:
+        from .montecarlo import SCENARIO_MODES, McConfig, McEstimate, McMode, simulate_scenario
+
         mode = SCENARIO_MODES[scenario]
         est = simulate_scenario(
             profile, design, report.tau_s, McConfig(mc.seed, mc.trials, mode, mc.workers))
@@ -226,8 +225,11 @@ def simulate_row(
     over tau_s as given (unclamped, tau_clamped empty) or, by default, over the
     clamped cutoff window.
     """
+    from .montecarlo import SCENARIO_MODES, simulate_scenario, window_reference
+
     _check_era_label(era)
-    scenario = _MODE_SCENARIOS.get(cfg.mode)
+    # The closed-form scenario each simulator checks; micro-link checks none.
+    scenario = {mode: s for s, mode in SCENARIO_MODES.items()}.get(cfg.mode)
     tau = clamped = rate_ref = None
     if scenario not in (None, Scenario.SEGMENT):
         law = window_law(scenario, profile, design)
@@ -249,11 +251,13 @@ def fidelity_row(
     tau_s defaults to the routed chain's cutoff window, with its clamp flag;
     an explicit tau_s leaves the flag empty.
     """
+    from .fidelity import end_to_end_report
+
     _check_era_label(era)
     tau_s, tau_clamped = routed_cutoff_time(profile, design) if tau_s is None else (tau_s, None)
     report = end_to_end_report(profile, design, tau_s)
     return _row("fidelity-end-to-end", era, design, Scenario.ROUTED, tau_s=tau_s,
-                tau_clamped=tau_clamped, fidelity=report.fidelity)
+                tau_clamped=tau_clamped, fidelity=report.fidelity, qber=report.qber)
 
 
 def _add_rate_row(
@@ -397,10 +401,13 @@ def _cutoff_window(rows: list[SweepRow], era: str, profile: ParameterProfile, el
 def _fidelity(rows: list[SweepRow], era: str, profile: ParameterProfile, ell: float,
               mc: McOptions) -> list[CheckResult]:
     """Pre-storage pair fidelity vs n, and end-to-end fidelity vs N."""
+    from .fidelity import qber, router_pair_werner, werner_to_fidelity
+
     for n in LINK_SWEEP:
         f = werner_to_fidelity(router_pair_werner(profile, Config.A, n, 0.0))
         rows.append(_row("fidelity-router-pair", era, NetworkDesign(Config.A, ell, n, 1),
-                         Scenario.ROUTED, tau_s=0.0, tau_clamped=False, fidelity=f))
+                         Scenario.ROUTED, tau_s=0.0, tau_clamped=False, fidelity=f,
+                         qber=qber(f)))
     n_seg = OPERATING_N[era]
     end_to_end: dict[int, float] = {}
     for big_n in ROUTER_SWEEP:
@@ -452,6 +459,8 @@ def run_study(
     for era, profile in profiles:
         checks += _STUDY_RUNNERS[study](rows, era, profile, max_link_length(profile), mc)
     if study is Study.FIDELITY:
+        from .fidelity import qber
+
         checks.append(CheckResult(
             "qber-anchor", abs(qber(0.8) - 0.1333) <= 1e-4,
             f"qber(0.8) = {qber(0.8)!r}",

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .network import NetworkDesign
-from .params import ParameterProfile, _is_integer
+# MAX_SEED and MAX_WORKERS bound what McConfig accepts; they stay importable from here.
+from .params import MAX_SEED, MAX_WORKERS, ParameterProfile, _check_mc_settings  # noqa: F401
 from .rates import (
     Scenario,
     WindowLaw,
@@ -69,10 +69,6 @@ CHUNK_TRIALS = 4096
 # The window kernel no longer branches on this draw budget; it only splits the
 # bench's window spans into `per-attempt` (stations * k at most this) and `geometric`.
 PER_ATTEMPT_DRAW_LIMIT = 512
-# Never below the host's CPU count, so workers = nproc is always accepted.
-MAX_WORKERS = max(256, os.cpu_count() or 1)
-
-MAX_SEED = 2**64 - 1
 # numpy's binomial count is an int64; a link draw takes at most 2^63 - 1 spectral modes.
 _BINOMIAL_LIMIT = 2**63
 # numpy's geometric index is an int64 that saturates at 2^63 - 1 for a tiny p, and a
@@ -118,23 +114,9 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        self.check(self.master_seed, self.trials, self.workers)
+        _check_mc_settings(self.master_seed, self.trials, self.workers)
         if not isinstance(self.mode, McMode):
             raise ValueError(f"mode = {self.mode!r} must be an McMode")
-
-    @staticmethod
-    def check(master_seed: int, trials: int, workers: int) -> None:
-        """Check the numeric settings; raise a ValueError naming the first one out of range."""
-        for name, value in (("master_seed", master_seed), ("trials", trials),
-                            ("workers", workers)):
-            if not _is_integer(value):
-                raise ValueError(f"{name} = {value!r} must be an integer")
-        if not 0 <= master_seed <= MAX_SEED:
-            raise ValueError(f"master_seed = {master_seed!r} outside [0, 2^64)")
-        if trials < 1:
-            raise ValueError(f"trials = {trials!r} must be >= 1")
-        if not 1 <= workers <= MAX_WORKERS:
-            raise ValueError(f"workers = {workers!r} must be in [1, {MAX_WORKERS}]")
 
 
 class McEstimate(NamedTuple):

@@ -14,6 +14,7 @@ import enum
 import functools
 import math
 import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,6 +174,25 @@ def builtin_profile(era: Era | str) -> ParameterProfile:
 def _is_integer(value) -> bool:
     """An int that is not a bool: the test of every integer field's type."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Monte Carlo settings are checked here, so McOptions defaults need no montecarlo import.
+MAX_SEED = 2**64 - 1
+# Never below the host's CPU count, so workers = nproc is always accepted.
+MAX_WORKERS = max(256, os.cpu_count() or 1)
+
+
+def _check_mc_settings(master_seed: int, trials: int, workers: int) -> None:
+    """Check the numeric MC settings; raise a ValueError naming the first one out of range."""
+    for name, value in (("master_seed", master_seed), ("trials", trials), ("workers", workers)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} = {value!r} must be an integer")
+    if not 0 <= master_seed <= MAX_SEED:
+        raise ValueError(f"master_seed = {master_seed!r} outside [0, 2^64)")
+    if trials < 1:
+        raise ValueError(f"trials = {trials!r} must be >= 1")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers = {workers!r} must be in [1, {MAX_WORKERS}]")
 
 
 def _check_fidelity(name: str, value: float) -> float:

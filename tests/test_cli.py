@@ -27,6 +27,7 @@ from repchain import (
     routed_cutoff_time,
     segment_success_prob,
     timings,
+    window_law,
 )
 from repchain import cli
 from repchain.cli import main
@@ -459,7 +460,8 @@ def test_bad_era_label_is_refused_before_any_estimate(capsys, tmp_path, monkeypa
     def no_estimate(*args, **kwargs):
         raise AssertionError("an estimate ran before the era label was checked")
 
-    monkeypatch.setattr("repchain.experiments.simulate_scenario", no_estimate)
+    # experiments imports simulate_scenario when it runs, so the patch goes where it is defined.
+    monkeypatch.setattr("repchain.montecarlo.simulate_scenario", no_estimate)
     path = tmp_path / "a,b.txt"
     path.write_text("base = near\n", encoding="utf-8")
     code, out, err = run(capsys, command + ["--profile", str(path), "--trials", "4000000"])
@@ -615,6 +617,27 @@ def test_tau_note_for_segment_goes_to_stderr(capsys):
     assert out.splitlines()[1].startswith("segment,")
 
 
+@pytest.mark.parametrize("scenario", ["routed", "routed-nobuffer", "nv-chain"])
+def test_window_raised_to_the_floor_is_noted_on_stderr(capsys, scenario):
+    # tau_clamped reports the storage-time clamp only, so a window raised to the
+    # handoff floor is told on stderr; the floor itself, a window inside the range
+    # and one above t_max (whose flag says so) print nothing.
+    profile = builtin_profile("near")
+    law = window_law(Scenario(scenario), profile,
+                     NetworkDesign(Config.A, max_link_length(profile), 1, 1))
+    argv = ["rate", "--scenario", scenario, "--tau-s"]
+    below = law.floor_s / 2
+    code, out, err = run(capsys, [*argv, repr(below)])
+    assert (code, err) == (0, f"note: --tau-s {below!r} is below the {scenario} handoff floor; "
+                              f"the window is {law.floor_s!r} s\n")
+    assert parse_row(out)[7:9] == [repr(law.floor_s), "false"]
+    for tau, clamped in ((law.floor_s, "false"), ((law.floor_s + law.t_max) / 2, "false"),
+                         (2 * law.t_max, "true")):
+        code, out, err = run(capsys, [*argv, repr(tau)])
+        assert (code, err) == (0, "")
+        assert parse_row(out)[7:9] == [repr(min(tau, law.t_max)), clamped]
+
+
 @pytest.mark.parametrize("mode, note", [
     ("micro-link", "note: --tau-s does not apply to the micro-link mode\n"),
     ("micro-segment", "note: --tau-s does not apply to the micro-segment mode\n"),
@@ -628,6 +651,52 @@ def test_tau_note_for_micro_modes_goes_to_stderr(capsys, mode, note):
     assert (code, err) == (0, note)
     if note:
         assert out == plain  # the window is dropped, so the row is the same bytes
+
+
+# Exit code and the first 16 hex digits of the sha256 of stdout and of stderr
+# ("" when empty) of each help and usage call, at COLUMNS=80 under Python 3.11,
+# recorded from the parser that always held every command's arguments.
+# argparse's wording differs between Python versions.
+_HELP_CALLS = {
+    "--help": (0, "306da7f06dbabc7a", ""),
+    "": (1, "", "0b77829de844267a"),
+    "bogus": (1, "", "c19be01e37a04a86"),
+    "rate --help": (0, "768a4551974229f5", ""),
+    "fidelity --help": (0, "164d5d3e29f475c6", ""),
+    "simulate --help": (0, "9ae0cdeb52851d2f", ""),
+    "reproduce --help": (0, "6866b529771a5940", ""),
+    "sweep --help": (0, "50a8da60d7be126b", ""),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_HELP_CALLS))
+def test_help_and_usage_output_is_pinned(capsys, monkeypatch, call):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(call.split())
+    except SystemExit as exc:       # argparse exits after printing help
+        code = exc.code
+    out, err = capsys.readouterr()
+
+    def digest(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] if text else ""
+
+    assert (code, digest(out), digest(err)) == _HELP_CALLS[call]
+
+
+@pytest.mark.parametrize("command", ["rate", "fidelity", "simulate", "reproduce", "sweep"])
+def test_one_command_parser_reads_as_the_full_parser(capsys, command):
+    # main builds the parser for the command it runs: its help, the command's
+    # help and its usage errors must read as the parser with every command's.
+    outputs = []
+    for parser in (cli.build_parser(command), cli.build_parser()):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        with pytest.raises(cli._UsageError) as exc:
+            parser.parse_args([command, "--bogus"])
+        outputs.append((parser.format_help(), capsys.readouterr().out, str(exc.value)))
+    assert outputs[0] == outputs[1]
+    assert f"usage: repchain {command} [-h]" in outputs[0][1]
 
 
 _MC_COMMANDS = {
@@ -649,8 +718,10 @@ def test_bad_mc_flag_exits_2_before_any_work(capsys, tmp_path, monkeypatch, comm
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before the MC flags were checked")
 
-    for name in ("run_study", "run_custom", "_resolve_profile"):
-        monkeypatch.setattr(cli, name, no_work)
+    # cli imports the runners when a command runs, so they are patched where they are defined.
+    for target in ("repchain.experiments.run_study", "repchain.experiments.run_custom",
+                   "repchain.cli._resolve_profile"):
+        monkeypatch.setattr(target, no_work)
     out_path = tmp_path / "rows.csv"
     argv = _MC_COMMANDS[command] + ["--out", str(out_path), flag, value]
     code, out, err = run(capsys, argv + ["--with-mc"] * with_mc)
@@ -677,6 +748,63 @@ def _fresh_cli(argvs, script=_FRESH_CLI):
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
     )
     return json.loads(proc.stdout)
+
+
+# Runs the code in a new interpreter, then reports the repchain modules it loaded
+# and whether dataclasses (which imports inspect) was loaded.
+_FRESH_IMPORT = """
+import json, sys
+exec(json.loads(sys.argv[1]))
+print(json.dumps({"loaded": sorted(name for name in sys.modules if name.startswith("repchain.")),
+                  "dataclasses": "dataclasses" in sys.modules}))
+"""
+_ROW_MODULES = ("cli", "experiments", "network", "params", "rates")
+_SWEEP = ["sweep", "--scenario", "routed", "--axis", "n", "--start", "1", "--stop", "2",
+          "--step", "1"]
+# A statement, or a CLI argv that main runs, and the repchain submodules it may load.
+_ENTRY_POINTS = [
+    ("import repchain", ()),
+    ("import repchain.params", ("params",)),
+    ("import repchain.cli", ("cli",)),
+    (["rate", "--scenario", "routed"], _ROW_MODULES),
+    (["rate", "--scenario", "segment"], _ROW_MODULES),
+    (_SWEEP, _ROW_MODULES),
+    (["fidelity"], ("fidelity", *_ROW_MODULES)),
+    (["simulate", "--mode", "window-routed", "--trials", "64"], ("montecarlo", *_ROW_MODULES)),
+    (["reproduce", "--study", "fidelity", "--era", "near"], ("fidelity", *_ROW_MODULES)),
+    ([*_SWEEP, "--with-mc", "--trials", "64"], ("montecarlo", *_ROW_MODULES)),
+]
+
+
+@pytest.mark.parametrize("code, loaded", _ENTRY_POINTS, ids=[
+    "-".join(code) if isinstance(code, list) else code for code, _ in _ENTRY_POINTS])
+def test_each_entry_point_loads_only_its_modules(tmp_path, code, loaded):
+    if isinstance(code, list):
+        argv = [*code, "--out", str(tmp_path / "rows.csv")]
+        code = f"from repchain.cli import main\nassert main({argv!r}) == 0"
+    result = _fresh_cli(code, _FRESH_IMPORT)
+    assert result["loaded"] == sorted(f"repchain.{name}" for name in loaded)
+    # params is the first engine module any entry point loads, and it uses dataclasses.
+    assert result["dataclasses"] == ("params" in loaded)
+
+
+# Star-imports the package in a new interpreter and reports whether every name
+# of the library modules' __all__ lists is bound, as the module's own object.
+_FRESH_STAR = """
+import importlib, json
+from repchain import *
+import repchain
+modules = [importlib.import_module(f"repchain.{name}") for name in
+           ("experiments", "fidelity", "montecarlo", "network", "params", "rates")]
+union = [name for module in modules for name in module.__all__]
+print(json.dumps({"all": bool(union) and repchain.__all__ == union,
+                  "unbound": [name for module in modules for name in module.__all__
+                              if globals().get(name) is not getattr(module, name)]}))
+"""
+
+
+def test_star_import_binds_every_public_name():
+    assert _fresh_cli(None, _FRESH_STAR) == {"all": True, "unbound": []}
 
 
 def test_closed_form_commands_do_not_load_numpy(tmp_path):

@@ -34,10 +34,11 @@ def test_package_imports_only_public_names():
     modules = [importlib.import_module(f"repchain.{name}") for name in LIBRARY_MODULES]
     union = [name for module in modules for name in module.__all__]
     assert len(set(union)) == len(union)
+    # The package binds its names on first use; reading __all__ binds them all.
+    assert repchain.__all__ == union
     public = [name for name, value in vars(repchain).items()
               if not name.startswith("_") and not inspect.ismodule(value)]
     assert sorted(public) == sorted(union)
-    assert repchain.__all__ == union
     assert [(module.__name__, name) for module in modules for name in module.__all__
             if getattr(repchain, name) is not getattr(module, name)] == []
 
@@ -139,7 +140,9 @@ def _enum_parameters():
         obj = getattr(repchain, name)
         if not callable(obj):
             continue
-        hints = typing.get_type_hints(obj.__init__ if inspect.isclass(obj) else obj)
+        # Names a module imports only to annotate resolve against the package namespace.
+        hints = typing.get_type_hints(obj.__init__ if inspect.isclass(obj) else obj,
+                                      localns=vars(repchain))
         params = {param: hint for param, hint in hints.items() if param != "return"
                   and any(isinstance(arg, type) and issubclass(arg, enum.Enum)
                           for arg in typing.get_args(hint) or (hint,))}
