@@ -200,9 +200,9 @@ def rate_row(
     report = scenario_rate(scenario, profile, design, tau_s)
     est = None
     if mc.enabled:
-        from .montecarlo import SCENARIO_MODES, McConfig, McEstimate, McMode, simulate_scenario
+        from .montecarlo import _SCENARIO_MODES, McConfig, McEstimate, McMode, simulate_scenario
 
-        mode = SCENARIO_MODES[scenario]
+        mode = _SCENARIO_MODES[scenario]
         est = simulate_scenario(
             profile, design, report.tau_s, McConfig(mc.seed, mc.trials, mode, mc.workers))
         if mode is McMode.MICRO_SEGMENT:
@@ -225,16 +225,16 @@ def simulate_row(
     over tau_s as given (unclamped, tau_clamped empty) or, by default, over the
     clamped cutoff window.
     """
-    from .montecarlo import SCENARIO_MODES, simulate_scenario, window_reference
+    from .montecarlo import _SCENARIO_MODES, _window_reference, simulate_scenario
 
     _check_era_label(era)
     # The closed-form scenario each simulator checks; micro-link checks none.
-    scenario = {mode: s for s, mode in SCENARIO_MODES.items()}.get(cfg.mode)
+    scenario = {mode: s for s, mode in _SCENARIO_MODES.items()}.get(cfg.mode)
     tau = clamped = rate_ref = None
     if scenario not in (None, Scenario.SEGMENT):
         law = window_law(scenario, profile, design)
         tau, clamped = law.cutoff(design.epsilon) if tau_s is None else (tau_s, None)
-        rate_ref = window_reference(law, tau)
+        rate_ref = _window_reference(law, tau)
     est = simulate_scenario(profile, design, tau, cfg)
     return _row(cfg.mode.value, era, design, scenario, tau_s=tau, tau_clamped=clamped,
                 rate_hz=rate_ref, est=est)

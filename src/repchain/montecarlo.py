@@ -2,9 +2,11 @@
 
 Determinism contract: trials are processed in fixed-size chunks and chunk i of
 a run draws from Generator(Philox(SeedSequence([master_seed, mode_salt, i]))).
-Chunk tallies are integers and their sum is associative, so the estimate is
-bit-identical for any worker count and any execution order. Within a chunk the
-draw order is fixed and documented on each simulate function.
+Chunk contract: a mode's kernel takes a chunk's generator and trial count and
+returns that chunk's per-trial boolean success vector; only _run_chunks seeds,
+counts and pools. Chunk tallies are integers and their sum is associative, so
+the estimate is bit-identical for any worker count and any execution order.
+Within a chunk the draw order is fixed and documented on each simulate function.
 
 Attempt counts are floored to integers here (attempts are physical events);
 the closed forms keep real exponents. Comparisons between the two must use
@@ -31,8 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .network import NetworkDesign
-# MAX_SEED and MAX_WORKERS bound what McConfig accepts; they stay importable from here.
-from .params import MAX_SEED, MAX_WORKERS, ParameterProfile, _check_mc_settings  # noqa: F401
+from .params import ParameterProfile, _check_mc_settings
 from .rates import (
     Scenario,
     WindowLaw,
@@ -53,7 +54,6 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "McMode",
-    "SCENARIO_MODES",
     "floored_attempts",
     "floored_window_rate",
     "simulate_link",
@@ -62,7 +62,6 @@ __all__ = [
     "simulate_routed",
     "simulate_scenario",
     "simulate_segment",
-    "window_reference",
 ]
 
 CHUNK_TRIALS = 4096
@@ -98,7 +97,7 @@ _MODE_SALTS = {
 }
 
 # The simulator that checks each closed-form scenario.
-SCENARIO_MODES = {
+_SCENARIO_MODES = {
     Scenario.SEGMENT: McMode.MICRO_SEGMENT,
     Scenario.NV_CHAIN: McMode.WINDOW_NV,
     Scenario.ROUTED: McMode.WINDOW_ROUTED,
@@ -133,16 +132,17 @@ def _chunk_rng(master_seed: int, salt: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _run_chunks(cfg: McConfig, chunk_fn: Callable[[np.random.Generator, int], int]) -> int:
+def _run_chunks(cfg: McConfig, chunk_fn: Callable[[np.random.Generator, int], np.ndarray]) -> int:
+    """Successes over cfg.trials; chunk_fn returns one chunk's per-trial success vector."""
     # Only estimates that draw get here; load the lazy numpy.random before any worker starts.
-    import numpy.random  # noqa: F401
+    import numpy.random
 
     salt = _MODE_SALTS[cfg.mode]
     chunks = range((cfg.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS)
 
     def run_chunk(index: int) -> int:
         count = min(CHUNK_TRIALS, cfg.trials - index * CHUNK_TRIALS)
-        return chunk_fn(_chunk_rng(cfg.master_seed, salt, index), count)
+        return int(numpy.count_nonzero(chunk_fn(_chunk_rng(cfg.master_seed, salt, index), count)))
 
     # Each thread gets four chunks or more; a smaller pool costs more than it saves.
     threads = min(cfg.workers, len(chunks) // 4)
@@ -214,13 +214,8 @@ def simulate_link(profile: ParameterProfile, ell_km: float, cfg: McConfig) -> Mc
     p_mode = link_mode_prob(profile, ell_km)
     retrieval = profile.eta_afc * profile.eta_shift
     gamma_f = _spectral_modes(profile)
-
-    def chunk(rng: np.random.Generator, count: int) -> int:
-        import numpy as np
-
-        return int(np.count_nonzero(_link_draw(rng, count, gamma_f, p_mode, retrieval)))
-
-    return _estimate(_run_chunks(cfg, chunk), cfg)
+    return _estimate(_run_chunks(
+        cfg, lambda rng, count: _link_draw(rng, count, gamma_f, p_mode, retrieval)), cfg)
 
 
 def simulate_segment(profile: ParameterProfile, design: NetworkDesign, cfg: McConfig) -> McEstimate:
@@ -238,17 +233,15 @@ def simulate_segment(profile: ParameterProfile, design: NetworkDesign, cfg: McCo
     n = design.n
     eta_bsm = profile.eta_bsm
 
-    def chunk(rng: np.random.Generator, count: int) -> int:
-        import numpy as np
-
-        ok = np.ones(count, dtype=bool)
-        for _link in range(n):
+    def chunk(rng: np.random.Generator, count: int) -> np.ndarray:
+        ok = _link_draw(rng, count, gamma_f, p_mode, retrieval)
+        for _link in range(n - 1):
             ok &= _link_draw(rng, count, gamma_f, p_mode, retrieval)
         for _swap in range(n - 1):
             ok &= rng.random(count) < eta_bsm
         ok &= rng.random(count) < transfer
         ok &= rng.random(count) < transfer
-        return int(np.count_nonzero(ok))
+        return ok
 
     return _estimate(_run_chunks(cfg, chunk), cfg)
 
@@ -302,16 +295,13 @@ def _simulate_window(
         raise ValueError(f"tau_s = {tau_s!r} gives 2^63 - 1 or more herald trials per station")
     p = law.p_attempt if p_mode is None else p_mode
 
-    def chunk(rng: np.random.Generator, count: int) -> int:
-        import numpy as np
-
-        heralded = rng.geometric(p, size=(count, law.stations)) <= trials
-        return int(np.count_nonzero(heralded.all(axis=1)))
+    def chunk(rng: np.random.Generator, count: int) -> np.ndarray:
+        return (rng.geometric(p, size=(count, law.stations)) <= trials).all(axis=1)
 
     return _estimate(_run_chunks(cfg, chunk), cfg, tau_s)
 
 
-def window_reference(law: WindowLaw, tau_s: float) -> float:
+def _window_reference(law: WindowLaw, tau_s: float) -> float:
     """floored_window_rate of a window law: the comparison target of _simulate_window."""
     return floored_window_rate(law.p_attempt, _window_outcome(law, tau_s)[0], law.stations, tau_s)
 

@@ -202,13 +202,13 @@ class WindowLaw(NamedTuple):
         success needs no search time; impossible success, or no attempts at
         all, saturates the storage budget.
         """
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError(f"epsilon = {epsilon!r} must lie in (0, 1)")
         if self.omega <= 0.0 or self.p_attempt <= 0.0:
             return self.t_max, True
         if self.p_attempt >= 1.0:
             return self.floor_s, False
         per_station_failure = 1.0 - (1.0 - epsilon) ** (1.0 / self.stations)
-        if per_station_failure >= 1.0:
-            return self.floor_s, False
         if per_station_failure <= 0.0:
             # epsilon too small to show in one station's share: no finite window meets it.
             return self.t_max, True

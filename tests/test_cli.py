@@ -268,7 +268,7 @@ VALIDATION_ERRORS = [
     (["rate", "--scenario", "routed", "--profile", "near", "--ell-km", "1e308", "--n", "2"],
      "ell_km"),
     (["fidelity", "--profile", "near", "--ell-km", "1e308", "--big-n", "2"], "ell_km"),
-    # A worker count above montecarlo.MAX_WORKERS fails validation before any thread starts.
+    # A worker count above params.MAX_WORKERS fails validation before any thread starts.
     (["simulate", "--mode", "micro-link", "--workers", "1000000"], "workers"),
     (["sweep", "--scenario", "routed", "--axis", "n", "--start", "1", "--stop", "2",
       "--step", "1", "--with-mc", "--workers", "1000000"], "workers"),
@@ -548,6 +548,29 @@ def test_reproduce_csv_bytes_are_golden(capsys, tmp_path, study):
                                 "--out", str(out_path)])
     assert (code, out) == (0, "")
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == _GOLDEN_CSV_SHA256[study]
+
+
+# `--with-mc --seed 3 --trials 10000`: two full chunks and a last one of 1 808
+# trials per estimate, so a dropped or mis-sized tail moves the bytes. A
+# deliberate stream re-key updates these hashes and names its new salt in
+# CHANGES.md.
+_GOLDEN_MC_CSV_SHA256 = {
+    "rate-vs-links": "aaab4b1cb685d8dcd7b8b38b657caaf5184488d446ebb3486ace85076ccce034",
+    "rate-vs-routers": "51eb82c53fcce481791db9546d3372eb8ce62c18c0cfb4e474237734e7fe434b",
+    "config-compare": "94b1bbe2ce78f23dabc1582add3098b59f932d4ec1808de752f905f50b87e7bb",
+    "cutoff-window": "e1f417698b6c1b3889097430268c46cee3676c15d73d75e57ca7d8ed871c9740",
+    # The fidelity study draws nothing: its MC bytes are its closed-form bytes.
+    "fidelity": _GOLDEN_CSV_SHA256["fidelity"],
+}
+
+
+@pytest.mark.parametrize("study", sorted(_GOLDEN_MC_CSV_SHA256))
+def test_reproduce_mc_csv_bytes_are_golden(capsys, tmp_path, study):
+    out_path = tmp_path / f"{study}.csv"
+    code, out, _ = run(capsys, ["reproduce", "--study", study, "--era", "both", "--with-mc",
+                                "--seed", "3", "--trials", "10000", "--out", str(out_path)])
+    assert (code, out) == (0, "")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == _GOLDEN_MC_CSV_SHA256[study]
 
 
 def test_reproduce_reports_failed_checks_but_exits_zero(capsys, tmp_path):

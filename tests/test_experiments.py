@@ -25,7 +25,8 @@ from repchain import (
     write_csv,
 )
 from repchain.experiments import MAX_SWEEP_POINTS, fidelity_row, rate_row
-from repchain.montecarlo import MAX_SEED, MAX_WORKERS, McConfig, McMode
+from repchain.montecarlo import McConfig, McMode
+from repchain.params import MAX_SEED, MAX_WORKERS
 
 EXPECTED_HEADER = (
     "scenario,era,config,n,N,ell_km,total_km,tau_s,tau_clamped,"

@@ -33,14 +33,13 @@ from repchain.montecarlo import (
     _MODE_SALTS,
     CHUNK_TRIALS,
     MAX_BLOCK_COUNTS,
-    MAX_SEED,
-    MAX_WORKERS,
     PER_ATTEMPT_DRAW_LIMIT,
     McEstimate,
     _chunk_rng,
     _run_chunks,
     _simulate_window,
 )
+from repchain.params import MAX_SEED, MAX_WORKERS
 from repchain.rates import WindowLaw
 
 LONG_ELL = 59.99999999999999
@@ -547,5 +546,42 @@ def test_run_chunks_starts_no_more_threads_than_chunks(monkeypatch, trials, work
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
     cfg = McConfig(3, trials, McMode.MICRO_LINK, workers=workers)
-    assert _run_chunks(cfg, lambda rng, count: count) == trials
+    assert _run_chunks(cfg, lambda rng, count: np.ones(count, dtype=bool)) == trials
     assert sizes == ([] if pool_size is None else [pool_size])
+
+
+# The profile fixture and one drawing estimate per mode. The windows hold
+# k = 432, 1 and 82223 attempts per station, so none has a fixed outcome.
+_DRAWING_ESTIMATES = {
+    McMode.MICRO_LINK: ("near", lambda profile, cfg: simulate_link(profile, 20.0, cfg)),
+    McMode.MICRO_SEGMENT:
+        ("ideal", lambda profile, cfg: simulate_segment(profile, _design(20.0, 2, 1), cfg)),
+    McMode.WINDOW_ROUTED: ("long_term", lambda profile, cfg: simulate_routed(
+        profile, _design(LONG_ELL, 2, 1), TAU_ROUTED_LONG, cfg)),
+    McMode.WINDOW_NV: ("long_term", lambda profile, cfg: simulate_nv_chain(
+        profile, _design(LONG_ELL, 1, 1), 1.2e-3, cfg)),
+    McMode.WINDOW_NO_BUFFER: ("near", lambda profile, cfg: simulate_no_buffer(
+        profile, _design(20.0, 1, 1), TAU_NB_NEAR, cfg)),
+}
+
+
+@pytest.mark.parametrize("mode", list(McMode), ids=[mode.value for mode in McMode])
+def test_pooled_estimate_equals_the_serial_one(monkeypatch, request, mode):
+    # Nine chunks, the last of 5 trials: serial at one worker, pooled at two and
+    # at the ceiling, where each thread must get four chunks (two threads).
+    sizes = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    fixture, estimate = _DRAWING_ESTIMATES[mode]
+    profile = request.getfixturevalue(fixture)
+    serial, pooled, widest = (
+        estimate(profile, McConfig(17, 8 * CHUNK_TRIALS + 5, mode, workers=workers))
+        for workers in (1, 2, MAX_WORKERS))
+    assert sizes == [2, 2]
+    assert serial == pooled == widest
+    assert 0.0 < serial.mean

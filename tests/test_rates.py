@@ -321,6 +321,29 @@ def test_no_attempts_saturate_storage(p_attempt):
     assert law.cutoff(0.05) == (1.0, True)
 
 
+@pytest.mark.parametrize("stations", [1, 2])
+@pytest.mark.parametrize("omega", [1e3, 0.0], ids=["drawing", "no-attempts"])
+@pytest.mark.parametrize("epsilon", [1.5, 1.0, 0.0, -0.1, math.nan])
+def test_cutoff_rejects_an_epsilon_outside_the_unit_interval(stations, omega, epsilon):
+    # Checked before a degenerate law resolves, so a law with no attempts names
+    # a bad epsilon too, and nan names epsilon rather than the window.
+    law = WindowLaw(omega=omega, p_attempt=0.01, stations=stations, usable_fraction=1.0,
+                    floor_s=1e-3, t_max=1.0)
+    with pytest.raises(ValueError, match=re.escape(f"epsilon = {epsilon!r} must lie in (0, 1)")):
+        law.cutoff(epsilon)
+
+
+@pytest.mark.parametrize("stations", [1, 2])
+def test_cutoff_largest_epsilon_solves_above_the_floor(stations):
+    # The largest double below 1 still leaves each station a failure share below 1,
+    # so even this epsilon solves by the formula, to just above the floor.
+    law = WindowLaw(omega=1e3, p_attempt=0.01, stations=stations, usable_fraction=1.0,
+                    floor_s=1e-3, t_max=1.0)
+    tau, clamped = law.cutoff(1.0 - 2.0**-53)
+    assert 1e-3 < tau < 1.01e-3
+    assert not clamped
+
+
 def test_certain_segment_needs_no_search_time(near):
     sure = dataclasses.replace(
         near, alpha_db_per_km=0.0, eta_afc=1.0, eta_shift=1.0, eta_bsm=1.0,
