@@ -147,12 +147,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     design = _design_from_args(args, profile)
     if tau_s is not None and scenario is Scenario.SEGMENT:
         print("note: --tau-s does not apply to the segment scenario", file=sys.stderr)
-    row = rate_row(era, profile, design, scenario, tau_s)
-    # The clamp flag reports the storage-time clamp only; a raise to the floor is told here.
-    if tau_s is not None and row.tau_s is not None and row.tau_s > tau_s:
-        print(f"note: --tau-s {tau_s!r} is below the {scenario.value} handoff floor; "
-              f"the window is {row.tau_s!r} s", file=sys.stderr)
-    return _emit(args.out, [row])
+    return _emit(args.out, [rate_row(era, profile, design, scenario, tau_s)])
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:

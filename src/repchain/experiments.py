@@ -192,7 +192,7 @@ def rate_row(
     tau_s: float | None = None,
     mc: McOptions = McOptions(),
 ) -> SweepRow:
-    """One CSV row for the rate of a scenario; tau_s applies to windowed scenarios.
+    """One CSV row for a scenario's rate; a windowed one takes tau_s through WindowLaw.clamp.
 
     With MC on, segment probabilities are scaled to rates by the attempt rate.
     """
@@ -221,9 +221,7 @@ def simulate_row(
 ) -> SweepRow:
     """One CSV row for a seeded estimate of cfg.mode.
 
-    Window rows carry the closed form with the simulator's floored attempts,
-    over tau_s as given (unclamped, tau_clamped empty) or, by default, over the
-    clamped cutoff window.
+    Window rows carry the closed form with the simulator's floored attempts over rate_row's window.
     """
     from .montecarlo import _SCENARIO_MODES, _window_reference, simulate_scenario
 
@@ -233,7 +231,7 @@ def simulate_row(
     tau = clamped = rate_ref = None
     if scenario not in (None, Scenario.SEGMENT):
         law = window_law(scenario, profile, design)
-        tau, clamped = law.cutoff(design.epsilon) if tau_s is None else (tau_s, None)
+        tau, clamped = law.cutoff(design.epsilon) if tau_s is None else law.clamp(tau_s)
         rate_ref = _window_reference(law, tau)
     est = simulate_scenario(profile, design, tau, cfg)
     return _row(cfg.mode.value, era, design, scenario, tau_s=tau, tau_clamped=clamped,
@@ -248,13 +246,16 @@ def fidelity_row(
 ) -> SweepRow:
     """One end-to-end fidelity row for pairs stored over tau_s.
 
-    tau_s defaults to the routed chain's cutoff window, with its clamp flag;
-    an explicit tau_s leaves the flag empty.
+    The window is rate_row's routed one, save an explicit 0: no storage, never clamped.
     """
     from .fidelity import end_to_end_report
 
     _check_era_label(era)
-    tau_s, tau_clamped = routed_cutoff_time(profile, design) if tau_s is None else (tau_s, None)
+    tau_clamped = False  # for 0, or a negative or nan tau_s, which end_to_end_report names
+    if tau_s is None:
+        tau_s, tau_clamped = routed_cutoff_time(profile, design)
+    elif tau_s > 0:
+        tau_s, tau_clamped = window_law(Scenario.ROUTED, profile, design).clamp(tau_s)
     report = end_to_end_report(profile, design, tau_s)
     return _row("fidelity-end-to-end", era, design, Scenario.ROUTED, tau_s=tau_s,
                 tau_clamped=tau_clamped, fidelity=report.fidelity, qber=report.qber)

@@ -188,12 +188,11 @@ class WindowLaw(NamedTuple):
     t_max: float
 
     def clamp(self, tau_s: float) -> tuple[float, bool]:
-        """Clamp a window into [floor_s, t_max]; the flag reports the upper clamp."""
-        if not tau_s > 0:
+        """The one window rule: above t_max, (t_max, True); any other window, (tau_s, False)."""
+        # Only a value with __float__ compares with a float: not None, a str or a complex.
+        if not (hasattr(tau_s, "__float__") and tau_s > 0):
             raise ValueError(f"tau_s = {tau_s!r} must be > 0")
-        if tau_s > self.t_max:
-            return self.t_max, True
-        return max(tau_s, self.floor_s), False
+        return (self.t_max, True) if tau_s > self.t_max else (tau_s, False)
 
     def cutoff(self, epsilon: float) -> tuple[float, bool]:
         """Smallest window such that all stations succeed w.p. 1 - epsilon, clamped.
@@ -202,8 +201,12 @@ class WindowLaw(NamedTuple):
         success needs no search time; impossible success, or no attempts at
         all, saturates the storage budget.
         """
-        if not 0.0 < epsilon < 1.0:
+        if not (hasattr(epsilon, "__float__") and 0.0 < epsilon < 1.0):
             raise ValueError(f"epsilon = {epsilon!r} must lie in (0, 1)")
+        if not self.stations >= 1:
+            raise ValueError(f"stations = {self.stations!r} must be >= 1")
+        if not 0.0 < self.usable_fraction <= 1.0:
+            raise ValueError(f"usable_fraction = {self.usable_fraction!r} must lie in (0, 1]")
         if self.omega <= 0.0 or self.p_attempt <= 0.0:
             return self.t_max, True
         if self.p_attempt >= 1.0:

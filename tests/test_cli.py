@@ -178,13 +178,14 @@ def test_fidelity_long(capsys):
     assert float(fields[11]) == pytest.approx(0.12602718065189494, rel=1e-12)
 
 
-def test_fidelity_explicit_tau_leaves_clamp_empty(capsys):
+def test_fidelity_explicit_zero_tau_is_not_clamped(capsys):
+    # Storing for no time is a meaningful window, below the handoff floor and never clamped.
     code, out, _ = run(capsys, ["fidelity", "--profile", "long", "--n", "2",
                                 "--tau-s", "0.0"])
     assert code == 0
     fields = parse_row(out)
     assert fields[7] == "0.0"
-    assert fields[8] == ""
+    assert fields[8] == "false"
     assert float(fields[10]) > 0.8109592290221576
 
 
@@ -218,7 +219,7 @@ def test_simulate_window_nv_with_explicit_tau(capsys):
     assert fields[0] == "window-nv"
     assert fields[2] == "" and fields[4] == ""
     assert float(fields[7]) == pytest.approx(1.2e-3, rel=1e-15)
-    assert fields[8] == ""    # explicit window, clamping not evaluated
+    assert fields[8] == "false"    # explicit window inside the storage time
     assert float(fields[9]) == pytest.approx(803.022306492675, rel=1e-12)
     mc = float(fields[12])
     std = float(fields[13])
@@ -235,6 +236,16 @@ def test_simulate_window_routed_defaults_to_cutoff(capsys):
     assert float(fields[7]) == pytest.approx(0.0008043212020616748, rel=1e-12)
     assert fields[8] == "false"
     assert float(fields[9]) == pytest.approx(1181.068350449949, rel=1e-9)
+
+
+# Stands for a near-era profile file whose routers store for t_nv = 1e14 s.
+_LONG_STORAGE = "LONG_STORAGE_PROFILE"
+
+
+def _long_storage_profile(directory: Path) -> str:
+    path = directory / "storage.profile"
+    path.write_text("base = near\nt_nv = 1e14\n", encoding="utf-8")
+    return str(path)
 
 
 VALIDATION_ERRORS = [
@@ -274,7 +285,8 @@ VALIDATION_ERRORS = [
       "--step", "1", "--with-mc", "--workers", "1000000"], "workers"),
     # 1e20 attempts of p_attempt 4e-19 each: too many herald trials for an
     # int64 geometric index, and too few expected heralds for a certain window.
-    (["simulate", "--mode", "window-routed", "--profile", "near", "--ell-km", "700",
+    # A router storage time of 1e14 s keeps the window from its clamp.
+    (["simulate", "--mode", "window-routed", "--profile", _LONG_STORAGE, "--ell-km", "700",
       "--tau-s", "1e13"], "tau_s"),
     # A link so short that its attempt rate overflows: the length is at fault, not the window.
     (["simulate", "--mode", "window-nv", "--ell-km", "1e-320", "--tau-s", "1"], "ell_km"),
@@ -288,7 +300,9 @@ VALIDATION_ERRORS = [
 
 @pytest.mark.parametrize("argv, field", VALIDATION_ERRORS,
                          ids=[f"argv{i}" for i in range(len(VALIDATION_ERRORS))])
-def test_validation_errors_exit_2(capsys, argv, field):
+def test_validation_errors_exit_2(capsys, tmp_path, argv, field):
+    if _LONG_STORAGE in argv:
+        argv = [_long_storage_profile(tmp_path) if arg == _LONG_STORAGE else arg for arg in argv]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -641,24 +655,43 @@ def test_tau_note_for_segment_goes_to_stderr(capsys):
 
 
 @pytest.mark.parametrize("scenario", ["routed", "routed-nobuffer", "nv-chain"])
-def test_window_raised_to_the_floor_is_noted_on_stderr(capsys, scenario):
-    # tau_clamped reports the storage-time clamp only, so a window raised to the
-    # handoff floor is told on stderr; the floor itself, a window inside the range
-    # and one above t_max (whose flag says so) print nothing.
+def test_window_below_the_floor_is_written_as_given(capsys, scenario):
+    # Only the storage-time clamp moves a window: one at or below the handoff
+    # floor is written as given, with no attempt time and a rate of 0.0, and
+    # no window prints a note.
     profile = builtin_profile("near")
     law = window_law(Scenario(scenario), profile,
                      NetworkDesign(Config.A, max_link_length(profile), 1, 1))
     argv = ["rate", "--scenario", scenario, "--tau-s"]
-    below = law.floor_s / 2
-    code, out, err = run(capsys, [*argv, repr(below)])
-    assert (code, err) == (0, f"note: --tau-s {below!r} is below the {scenario} handoff floor; "
-                              f"the window is {law.floor_s!r} s\n")
-    assert parse_row(out)[7:9] == [repr(law.floor_s), "false"]
-    for tau, clamped in ((law.floor_s, "false"), ((law.floor_s + law.t_max) / 2, "false"),
-                         (2 * law.t_max, "true")):
+    for tau, clamped in ((law.floor_s / 2, "false"), (law.floor_s, "false"),
+                         ((law.floor_s + law.t_max) / 2, "false"), (2 * law.t_max, "true")):
         code, out, err = run(capsys, [*argv, repr(tau)])
         assert (code, err) == (0, "")
-        assert parse_row(out)[7:9] == [repr(min(tau, law.t_max)), clamped]
+        fields = parse_row(out)
+        assert fields[7:9] == [repr(min(tau, law.t_max)), clamped]
+        assert (fields[9] == "0.0") is (tau <= law.floor_s)
+
+
+@pytest.mark.parametrize("where", ["below-floor", "inside", "above-t-max"])
+def test_every_command_takes_an_explicit_window_by_one_rule(capsys, where):
+    # rate, simulate and fidelity write the same tau_s,tau_clamped cells for one
+    # design and one --tau-s: below the handoff floor, inside the range, above t_max.
+    profile = builtin_profile("near")
+    law = window_law(Scenario.ROUTED, profile,
+                     NetworkDesign(Config.A, max_link_length(profile), 1, 2))
+    inside = (law.floor_s + law.t_max) / 2
+    tau, expected = {"below-floor": (law.floor_s / 2, [repr(law.floor_s / 2), "false"]),
+                     "inside": (inside, [repr(inside), "false"]),
+                     "above-t-max": (2 * law.t_max, [repr(law.t_max), "true"])}[where]
+    design = ["--profile", "near", "--big-n", "2", "--tau-s", repr(tau)]
+    cells = []
+    for argv in (["rate", "--scenario", "routed"],
+                 ["simulate", "--mode", "window-routed", "--trials", "64"],
+                 ["fidelity"]):
+        code, out, err = run(capsys, argv + design)
+        assert (code, err) == (0, "")
+        cells.append(parse_row(out)[7:9])
+    assert cells == [expected] * 3
 
 
 @pytest.mark.parametrize("mode, note", [
@@ -869,12 +902,15 @@ def test_window_that_draws_nothing_loads_no_numpy(tmp_path):
 def test_certain_window_loads_no_numpy(tmp_path):
     # 1e19 attempts of p_attempt near 1e-3 each: every station heralds with
     # certainty in double precision, so the estimate is exact and draws nothing.
+    # The routers store for 1e14 s, so the window is not clamped.
     out = tmp_path / "certain.csv"
-    result = _fresh_cli([["simulate", "--mode", "window-routed", "--profile", "near",
+    result = _fresh_cli([["simulate", "--mode", "window-routed",
+                          "--profile", _long_storage_profile(tmp_path),
                           "--tau-s", "1e12", "--workers", "2", "--out", str(out)]])
     assert result == {"codes": [0], "loaded": []}
     assert out.read_text(encoding="utf-8") == (
-        HEADER + "\nwindow-routed,near,A,1,1,20.0,20.0,1000000000000.0,,1e-12,,,1e-12,0.0,0\n"
+        HEADER + "\nwindow-routed,storage,A,1,1,20.0,20.0,1000000000000.0,false,"
+        "1e-12,,,1e-12,0.0,0\n"
     )
 
 

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import re
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from repchain import (
     run_study,
     write_csv,
 )
-from repchain.experiments import MAX_SWEEP_POINTS, fidelity_row, rate_row
+from repchain.experiments import MAX_SWEEP_POINTS, fidelity_row, rate_row, simulate_row
 from repchain.montecarlo import McConfig, McMode
 from repchain.params import MAX_SEED, MAX_WORKERS
 
@@ -388,6 +389,32 @@ def test_mc_segment_rows_scale_probability_to_rate(ideal):
     # the micro estimate is scaled by the attempt rate into the same units
     assert row.mc_rate_hz > 1.0
     assert abs(row.mc_rate_hz - row.rate_hz) <= 5.0 * row.mc_std_error
+
+
+# Each row builder with an explicit window: rate and simulate of the buffered
+# routed chain, and the end-to-end fidelity of the same design.
+_ROW_BUILDERS = {
+    "rate": lambda profile, design, tau: rate_row("near", profile, design, Scenario.ROUTED, tau),
+    "simulate": lambda profile, design, tau: simulate_row(
+        "near", profile, design, McConfig(1, 64, McMode.WINDOW_ROUTED), tau),
+    "fidelity": lambda profile, design, tau: fidelity_row("near", profile, design, tau),
+}
+
+
+@pytest.mark.parametrize("build", _ROW_BUILDERS)
+def test_row_builders_clamp_an_infinite_window_to_the_storage_time(near, build):
+    row = _ROW_BUILDERS[build](near, NetworkDesign(Config.A, 20.0, 1, 2), math.inf)
+    assert (row.tau_s, row.tau_clamped) == (near.t_nv, True)
+
+
+@pytest.mark.parametrize("tau", [math.nan, -1.0, -math.inf])
+@pytest.mark.parametrize("build", _ROW_BUILDERS)
+def test_row_builders_name_a_bad_window(near, build, tau):
+    # Fidelity takes 0, storing for no time, so its bound is >= 0; the rates need > 0.
+    bound = ">= 0" if build == "fidelity" else "> 0"
+    with pytest.raises(ValueError) as info:
+        _ROW_BUILDERS[build](near, NetworkDesign(Config.A, 20.0, 1, 2), tau)
+    assert str(info.value) == f"tau_s = {tau!r} must be {bound}"
 
 
 def _sweep_row_calls(path):

@@ -271,9 +271,9 @@ def test_routed_tau_override_clamps(long_term):
     high = routed_rate(long_term, design, tau_s=long_term.t_nv * 2.0)
     assert high.tau_s == long_term.t_nv
     assert high.tau_clamped
-    # below the handoff floor: raised silently, zero usable attempts
+    # below the handoff floor: used as given, with zero usable attempts
     low = routed_rate(long_term, design, tau_s=t.t_trans / 2.0)
-    assert low.tau_s == t.t_trans
+    assert low.tau_s == t.t_trans / 2.0
     assert not low.tau_clamped
     assert low.rate_hz == 0.0
 
@@ -323,7 +323,7 @@ def test_no_attempts_saturate_storage(p_attempt):
 
 @pytest.mark.parametrize("stations", [1, 2])
 @pytest.mark.parametrize("omega", [1e3, 0.0], ids=["drawing", "no-attempts"])
-@pytest.mark.parametrize("epsilon", [1.5, 1.0, 0.0, -0.1, math.nan])
+@pytest.mark.parametrize("epsilon", [1.5, 1.0, 0.0, -0.1, math.nan, None, "0.05"])
 def test_cutoff_rejects_an_epsilon_outside_the_unit_interval(stations, omega, epsilon):
     # Checked before a degenerate law resolves, so a law with no attempts names
     # a bad epsilon too, and nan names epsilon rather than the window.
@@ -342,6 +342,28 @@ def test_cutoff_largest_epsilon_solves_above_the_floor(stations):
     tau, clamped = law.cutoff(1.0 - 2.0**-53)
     assert 1e-3 < tau < 1.01e-3
     assert not clamped
+
+
+_BAD_WINDOW_LAW_CALLS = [
+    ({"stations": 0}, "cutoff", 0.05, "stations = 0 must be >= 1"),
+    ({"stations": 0, "omega": 0.0}, "cutoff", 0.05, "stations = 0 must be >= 1"),
+    ({"stations": math.nan}, "cutoff", 0.05, "stations = nan must be >= 1"),
+    ({"usable_fraction": 0.0}, "cutoff", 0.05, "usable_fraction = 0.0 must lie in (0, 1]"),
+    ({"usable_fraction": 1.5}, "cutoff", 0.05, "usable_fraction = 1.5 must lie in (0, 1]"),
+    ({"usable_fraction": math.nan}, "cutoff", 0.05, "usable_fraction = nan must lie in (0, 1]"),
+    ({}, "clamp", None, "tau_s = None must be > 0"),
+]
+
+
+@pytest.mark.parametrize("fields, method, value, message", _BAD_WINDOW_LAW_CALLS,
+                         ids=[f"{m}-{i}" for i, (_, m, _, _) in enumerate(_BAD_WINDOW_LAW_CALLS)])
+def test_window_law_names_what_is_wrong(fields, method, value, message):
+    # A bad field or argument is named, never a ZeroDivisionError or a bare TypeError.
+    law = WindowLaw(**{**dict(omega=1e3, p_attempt=0.01, stations=2, usable_fraction=1.0,
+                              floor_s=1e-3, t_max=1.0), **fields})
+    with pytest.raises(ValueError) as info:
+        getattr(law, method)(value)
+    assert str(info.value) == message
 
 
 def test_certain_segment_needs_no_search_time(near):
@@ -410,9 +432,9 @@ def test_no_buffer_cutoff_within_bounds(near, long_term):
 
 @pytest.mark.parametrize("rate", [routed_rate, nv_chain_rate, routed_rate_no_buffer],
                          ids=lambda rate: rate.__name__)
-@pytest.mark.parametrize("tau", [math.nan, -1.0, 0.0, -math.inf])
+@pytest.mark.parametrize("tau", [math.nan, -1.0, 0.0, -math.inf, "5", 1j])
 def test_explicit_window_must_be_positive(long_term, rate, tau):
-    # An explicit window is named, not raised to the handoff floor or carried as nan.
+    # A bad explicit window is named, never carried as nan or left to a bare TypeError.
     design = NetworkDesign(Config.A, 40.0, 2, 3)
     with pytest.raises(ValueError, match=re.escape(f"tau_s = {tau!r} must be > 0")):
         rate(long_term, design, tau_s=tau)
