@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -263,6 +264,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # No command calls BLAS, so numpy need not start OpenBLAS helper threads at import.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:

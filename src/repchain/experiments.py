@@ -254,6 +254,8 @@ def fidelity_row(
     tau_clamped = False  # for 0, or a negative or nan tau_s, which end_to_end_report names
     if tau_s is None:
         tau_s, tau_clamped = routed_cutoff_time(profile, design)
+    elif not hasattr(tau_s, "__float__"):  # a str or a complex does not compare with 0
+        raise ValueError(f"tau_s = {tau_s!r} must be >= 0")
     elif tau_s > 0:
         tau_s, tau_clamped = window_law(Scenario.ROUTED, profile, design).clamp(tau_s)
     report = end_to_end_report(profile, design, tau_s)

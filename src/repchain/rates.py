@@ -192,6 +192,8 @@ class WindowLaw(NamedTuple):
         # Only a value with __float__ compares with a float: not None, a str or a complex.
         if not (hasattr(tau_s, "__float__") and tau_s > 0):
             raise ValueError(f"tau_s = {tau_s!r} must be > 0")
+        if math.isnan(self.t_max):
+            raise ValueError("t_max = nan must be a number")
         return (self.t_max, True) if tau_s > self.t_max else (tau_s, False)
 
     def cutoff(self, epsilon: float) -> tuple[float, bool]:
@@ -207,6 +209,9 @@ class WindowLaw(NamedTuple):
             raise ValueError(f"stations = {self.stations!r} must be >= 1")
         if not 0.0 < self.usable_fraction <= 1.0:
             raise ValueError(f"usable_fraction = {self.usable_fraction!r} must lie in (0, 1]")
+        for name in ("omega", "p_attempt", "t_max"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} = nan must be a number")
         if self.omega <= 0.0 or self.p_attempt <= 0.0:
             return self.t_max, True
         if self.p_attempt >= 1.0:

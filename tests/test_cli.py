@@ -796,12 +796,15 @@ print(json.dumps({"codes": codes, "loaded": heavy}))
 """
 
 
-def _fresh_cli(argvs, script=_FRESH_CLI):
+def _fresh_cli(argvs, script=_FRESH_CLI, **env):
     src = str(Path(repchain.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # An in-process main() earlier in the session sets OPENBLAS_NUM_THREADS here, so the
+    # child starts without it, as a user's shell would, unless env gives it.
+    inherited = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(argvs)],
-        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, env={**inherited, "PYTHONPATH": path, **env},
     )
     return json.loads(proc.stdout)
 
@@ -974,6 +977,46 @@ def test_two_chunks_run_inline_whatever_the_workers(tmp_path):
     assert _fresh_cli([["simulate", "--mode", "micro-link", "--trials", "8192",
                         "--workers", "1", "--out", str(out[0])]])["codes"] == [0]
     assert out[1].read_bytes() == out[0].read_bytes()
+
+
+# Runs `python -m repchain` with the argv in a new interpreter, then reports the exit
+# code, OPENBLAS_NUM_THREADS as numpy or the first engine module was imported and as
+# main left it, and the process's threads.
+_FRESH_MODULE = """
+import json, os, runpy, sys
+at_import = []
+class FirstEngineImport:
+    def find_spec(self, name, path=None, target=None):
+        engine = name.startswith("repchain.") and name not in ("repchain.cli", "repchain.__main__")
+        if not at_import and (engine or name == "numpy"):
+            at_import.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, FirstEngineImport())
+sys.argv = ["repchain", *json.loads(sys.argv[1])]
+code = None
+try:
+    runpy.run_module("repchain", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+tasks = "/proc/self/task"
+print(json.dumps({"code": code, "blas": [*at_import, os.environ.get("OPENBLAS_NUM_THREADS")],
+                  "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None}))
+"""
+
+
+def test_numpy_loads_with_one_blas_thread_unless_the_user_sets_more(tmp_path):
+    # No command calls BLAS, so the CLI loads numpy without OpenBLAS helper threads;
+    # a value the user set wins. Two draw chunks run inline, so no pool thread starts.
+    counts_threads = sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+    csv = {}
+    for value in (None, "1", "2"):
+        out = tmp_path / f"{value}.csv"
+        result = _fresh_cli(["simulate", "--mode", "micro-link", "--trials", "8192",
+                             "--out", str(out)], _FRESH_MODULE,
+                            **({} if value is None else {"OPENBLAS_NUM_THREADS": value}))
+        threads = int(value or 1) if counts_threads else result["threads"]
+        assert result == {"code": 0, "blas": [value or "1"] * 2, "threads": threads}
+        csv[value] = out.read_bytes()
+    assert csv[None] == csv["1"] == csv["2"]
 
 
 def test_cli_only_parses():

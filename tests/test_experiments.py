@@ -407,10 +407,11 @@ def test_row_builders_clamp_an_infinite_window_to_the_storage_time(near, build):
     assert (row.tau_s, row.tau_clamped) == (near.t_nv, True)
 
 
-@pytest.mark.parametrize("tau", [math.nan, -1.0, -math.inf])
+@pytest.mark.parametrize("tau", [math.nan, -1.0, -math.inf, "5", 2j])
 @pytest.mark.parametrize("build", _ROW_BUILDERS)
 def test_row_builders_name_a_bad_window(near, build, tau):
     # Fidelity takes 0, storing for no time, so its bound is >= 0; the rates need > 0.
+    # A str or a complex, which does not compare with a number, is named the same way.
     bound = ">= 0" if build == "fidelity" else "> 0"
     with pytest.raises(ValueError) as info:
         _ROW_BUILDERS[build](near, NetworkDesign(Config.A, 20.0, 1, 2), tau)

@@ -352,6 +352,16 @@ _BAD_WINDOW_LAW_CALLS = [
     ({"usable_fraction": 1.5}, "cutoff", 0.05, "usable_fraction = 1.5 must lie in (0, 1]"),
     ({"usable_fraction": math.nan}, "cutoff", 0.05, "usable_fraction = nan must lie in (0, 1]"),
     ({}, "clamp", None, "tau_s = None must be > 0"),
+    # A nan field is named before the degenerate branches, never blamed on the window.
+    ({"omega": math.nan}, "cutoff", 0.05, "omega = nan must be a number"),
+    ({"omega": math.nan, "p_attempt": 0.0}, "cutoff", 0.05, "omega = nan must be a number"),
+    ({"p_attempt": math.nan}, "cutoff", 0.05, "p_attempt = nan must be a number"),
+    ({"p_attempt": math.nan, "omega": 0.0}, "cutoff", 0.05, "p_attempt = nan must be a number"),
+    ({"t_max": math.nan}, "cutoff", 0.05, "t_max = nan must be a number"),
+    ({"t_max": math.nan, "omega": 0.0}, "cutoff", 0.05, "t_max = nan must be a number"),
+    ({"t_max": math.nan, "p_attempt": 1.0}, "cutoff", 0.05, "t_max = nan must be a number"),
+    ({"t_max": math.nan}, "clamp", 5.0, "t_max = nan must be a number"),
+    ({"t_max": math.nan}, "clamp", 0.5, "t_max = nan must be a number"),
 ]
 
 
