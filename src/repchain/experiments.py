@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .network import Config, NetworkDesign, _python_scalar, max_link_length
-from .params import ParameterProfile, _check_mc_settings
+from .network import Config, NetworkDesign, max_link_length
+from .params import ParameterProfile, _check_mc_settings, _python_scalar, _real
 from .rates import (
-    _NV_CHAIN, Scenario, _scenario_message, attempt_rate, routed_cutoff_time, scenario_rate,
-    window_law)
+    _NV_CHAIN, Scenario, _scenario_message, _window_rate, attempt_rate, routed_cutoff_time,
+    scenario_rate, window_law)
 
 if TYPE_CHECKING:
     from .montecarlo import McConfig, McEstimate
@@ -230,8 +230,7 @@ def simulate_row(
     scenario = {mode: s for s, mode in _SCENARIO_MODES.items()}.get(cfg.mode)
     tau = clamped = rate_ref = None
     if scenario not in (None, Scenario.SEGMENT):
-        law = window_law(scenario, profile, design)
-        tau, clamped = law.cutoff(design.epsilon) if tau_s is None else law.clamp(tau_s)
+        _, tau, clamped, _, law = _window_rate(scenario, profile, design, tau_s)
         rate_ref = _window_reference(law, tau)
     est = simulate_scenario(profile, design, tau, cfg)
     return _row(cfg.mode.value, era, design, scenario, tau_s=tau, tau_clamped=clamped,
@@ -254,7 +253,7 @@ def fidelity_row(
     tau_clamped = False  # for 0, or a negative or nan tau_s, which end_to_end_report names
     if tau_s is None:
         tau_s, tau_clamped = routed_cutoff_time(profile, design)
-    elif not hasattr(tau_s, "__float__"):  # a str or a complex does not compare with 0
+    elif _real(tau_s) is None:
         raise ValueError(f"tau_s = {tau_s!r} must be >= 0")
     elif tau_s > 0:
         tau_s, tau_clamped = window_law(Scenario.ROUTED, profile, design).clamp(tau_s)

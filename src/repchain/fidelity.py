@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .network import _CONFIG_A, _CONFIG_B, Config, NetworkDesign, _config_message
 from .params import (
-    _FIDELITY_FIELDS, DEFAULT_DECOHERENCE_RATE_PER_S, ParameterProfile, _check_fidelity)
+    _FIDELITY_FIELDS, DEFAULT_DECOHERENCE_RATE_PER_S, ParameterProfile, _check_fidelity, _real)
 
 # numpy is imported inside the oracle only, so the closed-form commands,
 # which never call it, start without loading numpy.
@@ -79,9 +79,10 @@ def decohere(
     rate_per_s: float = DEFAULT_DECOHERENCE_RATE_PER_S,
 ) -> float:
     """Werner weight after storing one qubit of the pair for tau_s seconds."""
-    if not tau_s >= 0:
+    tau = tau_s if type(tau_s) is float else _real(tau_s)
+    if tau is None or not tau >= 0:
         raise ValueError(f"tau_s = {tau_s!r} must be >= 0")
-    return w * math.exp(-rate_per_s * tau_s)
+    return w * math.exp(-rate_per_s * tau)
 
 
 class _StageWeights(NamedTuple):

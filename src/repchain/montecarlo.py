@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .network import NetworkDesign
-from .params import ParameterProfile, _check_mc_settings
+from .params import ParameterProfile, _check_mc_settings, _real
 from .rates import (
     Scenario,
     WindowLaw,
@@ -246,24 +246,26 @@ def simulate_segment(profile: ParameterProfile, design: NetworkDesign, cfg: McCo
     return _estimate(_run_chunks(cfg, chunk), cfg)
 
 
-def _window_outcome(law: WindowLaw, tau_s: float) -> tuple[int, bool | None]:
-    """(k, fixed): floored attempts per station, and every window's outcome when no
-    draw can change it, else None. False: k = 0 or p_attempt 0. True: p_attempt 1, or
-    k * p_attempt >= 745, so a station fails with probability under e^-745 (0.0 in double).
+def _window_outcome(law: WindowLaw, tau_s: float) -> tuple[float, int, bool | None]:
+    """(tau, k, fixed): the window as the Python int or float it holds, floored attempts
+    per station, and every window's outcome when no draw can change it, else None. False:
+    k = 0 or p_attempt 0. True: p_attempt 1, or k * p_attempt >= 745, so a station fails
+    with probability under e^-745 (0.0 in double).
     """
-    if tau_s is None or not tau_s > 0:
+    tau = tau_s if type(tau_s) is float else _real(tau_s)
+    if tau is None or not tau > 0:
         raise ValueError(f"tau_s = {tau_s!r} must be > 0")
-    usable_s = law.usable_s(tau_s)
+    usable_s = law.usable_s(tau)
     if usable_s <= 0.0:
-        return 0, False
+        return tau, 0, False
     if math.isinf(law.omega * usable_s):
         raise ValueError(f"tau_s = {tau_s!r} holds more attempts than a float can count")
     k = floored_attempts(law.omega, usable_s)
     if k <= 0 or law.p_attempt <= 0.0:
-        return k, False
+        return tau, k, False
     if law.p_attempt >= 1.0 or k * law.p_attempt >= 745.0:
-        return k, True
-    return k, None
+        return tau, k, True
+    return tau, k, None
 
 
 def _simulate_window(
@@ -282,7 +284,7 @@ def _simulate_window(
     is tallied exactly, without seeding or drawing; one whose block would exceed
     MAX_BLOCK_COUNTS is rejected before any seeding.
     """
-    k, fixed = _window_outcome(law, tau_s)
+    tau_s, k, fixed = _window_outcome(law, tau_s)
     if fixed is not None:
         return _estimate(cfg.trials if fixed else 0, cfg, tau_s)
     block = min(CHUNK_TRIALS, cfg.trials) * law.stations
@@ -303,7 +305,7 @@ def _simulate_window(
 
 def _window_reference(law: WindowLaw, tau_s: float) -> float:
     """floored_window_rate of a window law: the comparison target of _simulate_window."""
-    return floored_window_rate(law.p_attempt, _window_outcome(law, tau_s)[0], law.stations, tau_s)
+    return floored_window_rate(law.p_attempt, _window_outcome(law, tau_s)[1], law.stations, tau_s)
 
 
 def simulate_routed(

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .params import ParameterProfile, _is_integer
+from .params import ParameterProfile, _is_integer, _python_scalar, _real
 
 __all__ = [
     "Config",
@@ -53,14 +52,6 @@ def _config_message(config) -> str:
     return f"config = {config!r} must be a Config"
 
 
-def _python_scalar(value):
-    """The Python scalar a numpy scalar holds; any other value unchanged."""
-    numpy = sys.modules.get("numpy")
-    if numpy is not None and isinstance(value, numpy.generic):
-        return value.item()
-    return value
-
-
 @dataclass(frozen=True, init=False)
 class NetworkDesign:
     config: Config
@@ -83,6 +74,9 @@ class NetworkDesign:
             for name, value in (("n", n), ("big_n", big_n), ("xi", xi)):
                 if not _is_integer(value):
                     raise DesignError(f"{name} = {value!r} must be an integer")
+            for name, value in (("ell_km", ell_km), ("epsilon", epsilon)):
+                if _real(value) is None:
+                    raise DesignError(f"{name} = {value!r} must be an int or a float")
         if not isinstance(config, Config):
             raise DesignError(_config_message(config))
         if not (math.isfinite(ell_km) and ell_km > 0):

@@ -15,6 +15,7 @@ import functools
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -174,6 +175,22 @@ def builtin_profile(era: Era | str) -> ParameterProfile:
 def _is_integer(value) -> bool:
     """An int that is not a bool: the test of every integer field's type."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _python_scalar(value):
+    """The Python scalar a numpy scalar holds; any other value unchanged."""
+    numpy = sys.modules.get("numpy")
+    if numpy is not None and isinstance(value, numpy.generic):
+        return value.item()
+    return value
+
+
+def _real(value):
+    """The type rule of a window and of a float design field: the Python scalar a
+    numpy scalar holds, then an int or a float but not a bool; None for any other value.
+    """
+    value = _python_scalar(value)
+    return None if isinstance(value, bool) or not isinstance(value, (int, float)) else value
 
 
 # Monte Carlo settings are checked here, so McOptions defaults need no montecarlo import.

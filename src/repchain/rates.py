@@ -9,7 +9,7 @@ window and the routers swap at its end, so the window either yields one
 end-to-end pair or nothing. The no-buffer variant loses simultaneous
 two-sided generation and can only use half of each window. The three
 windowed scenarios share one WindowLaw, built by window_law(); the Monte
-Carlo simulators and the CLI read the same law.
+Carlo simulators read the same law, and a windowed RateReport carries it.
 
 Closed forms keep real-valued attempt exponents; only the Monte Carlo
 module discretizes attempts.
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .network import (
     _CONFIG_A, _CONFIG_B, SIGNAL_VELOCITY_KM_PER_S, Config, NetworkDesign, _config_message, timings)
-from .params import ParameterProfile
+from .params import ParameterProfile, _real
 
 __all__ = [
     "RateReport",
@@ -72,9 +72,8 @@ class RateReport(NamedTuple):
     scenario: Scenario
     tau_s: float | None      # window duration; None for the windowless segment scenario
     tau_clamped: bool
-    p_segment: float         # per-attempt segment success, or per-window success
     rate_hz: float
-    attempts_per_window: float | None
+    law: WindowLaw | None    # the window law the rate was solved from; None for the segment
 
 
 def _clip01(x: float) -> float:
@@ -171,8 +170,8 @@ def nv_attempt_rate(ell_km: float) -> float:
 
 def segment_rate(profile: ParameterProfile, design: NetworkDesign) -> RateReport:
     """Pair rate between the two routers of a single segment (no window)."""
-    p_seg = segment_success_prob(profile, design)
-    return RateReport(_SEGMENT, None, False, p_seg, attempt_rate(profile) * p_seg, None)
+    return RateReport(_SEGMENT, None, False,
+                      attempt_rate(profile) * segment_success_prob(profile, design), None)
 
 
 class WindowLaw(NamedTuple):
@@ -189,12 +188,13 @@ class WindowLaw(NamedTuple):
 
     def clamp(self, tau_s: float) -> tuple[float, bool]:
         """The one window rule: above t_max, (t_max, True); any other window, (tau_s, False)."""
-        # Only a value with __float__ compares with a float: not None, a str or a complex.
-        if not (hasattr(tau_s, "__float__") and tau_s > 0):
+        # Every cutoff ends here with a float, which skips params._real's type rule.
+        tau = tau_s if type(tau_s) is float else _real(tau_s)
+        if tau is None or not tau > 0:
             raise ValueError(f"tau_s = {tau_s!r} must be > 0")
         if math.isnan(self.t_max):
             raise ValueError("t_max = nan must be a number")
-        return (self.t_max, True) if tau_s > self.t_max else (tau_s, False)
+        return (self.t_max, True) if tau > self.t_max else (tau, False)
 
     def cutoff(self, epsilon: float) -> tuple[float, bool]:
         """Smallest window such that all stations succeed w.p. 1 - epsilon, clamped.
@@ -270,9 +270,8 @@ def _window_rate(
     """Rate report over the cutoff window, or over tau_s clamped into range."""
     law = window_law(scenario, profile, design)
     tau, clamped = law.cutoff(design.epsilon) if tau_s is None else law.clamp(tau_s)
-    attempts = law.attempts(tau)
-    p_window = window_success_prob(law.p_attempt, attempts)
-    return RateReport(scenario, tau, clamped, p_window, p_window ** law.stations / tau, attempts)
+    p_window = window_success_prob(law.p_attempt, law.attempts(tau))
+    return RateReport(scenario, tau, clamped, p_window ** law.stations / tau, law)
 
 
 def nv_cutoff_time(profile: ParameterProfile, design: NetworkDesign) -> tuple[float, bool]:

@@ -672,26 +672,40 @@ def test_window_below_the_floor_is_written_as_given(capsys, scenario):
         assert (fields[9] == "0.0") is (tau <= law.floor_s)
 
 
-@pytest.mark.parametrize("where", ["below-floor", "inside", "above-t-max"])
-def test_every_command_takes_an_explicit_window_by_one_rule(capsys, where):
-    # rate, simulate and fidelity write the same tau_s,tau_clamped cells for one
-    # design and one --tau-s: below the handoff floor, inside the range, above t_max.
+_WINDOW_MODES = {"routed": "window-routed", "nv-chain": "window-nv",
+                 "routed-nobuffer": "window-nobuffer"}
+_WINDOW_CASES = [(scenario, where) for scenario in _WINDOW_MODES
+                 for where in ("below-floor", "inside", "above-t-max", "default")]
+
+
+@pytest.mark.parametrize("scenario, where", _WINDOW_CASES, ids=[
+    where if scenario == "routed" else f"{scenario}-{where}" for scenario, where in _WINDOW_CASES])
+def test_every_command_takes_an_explicit_window_by_one_rule(capsys, scenario, where):
+    # rate, simulate and (for the routed chain) fidelity write the same tau_s,tau_clamped
+    # cells for one design and one --tau-s: below the handoff floor, inside the range,
+    # above t_max; with no --tau-s, each writes the cutoff window.
     profile = builtin_profile("near")
-    law = window_law(Scenario.ROUTED, profile,
-                     NetworkDesign(Config.A, max_link_length(profile), 1, 2))
+    design = NetworkDesign(Config.A, max_link_length(profile), 1, 2)
+    law = window_law(Scenario(scenario), profile, design)
     inside = (law.floor_s + law.t_max) / 2
+    cutoff, clamped = law.cutoff(design.epsilon)
     tau, expected = {"below-floor": (law.floor_s / 2, [repr(law.floor_s / 2), "false"]),
                      "inside": (inside, [repr(inside), "false"]),
-                     "above-t-max": (2 * law.t_max, [repr(law.t_max), "true"])}[where]
-    design = ["--profile", "near", "--big-n", "2", "--tau-s", repr(tau)]
+                     "above-t-max": (2 * law.t_max, [repr(law.t_max), "true"]),
+                     "default": (None, [repr(cutoff), "true" if clamped else "false"])}[where]
+    argv_design = ["--profile", "near", "--big-n", "2"]
+    if tau is not None:
+        argv_design += ["--tau-s", repr(tau)]
+    commands = [["rate", "--scenario", scenario],
+                ["simulate", "--mode", _WINDOW_MODES[scenario], "--trials", "64"]]
+    if scenario == "routed":
+        commands.append(["fidelity"])
     cells = []
-    for argv in (["rate", "--scenario", "routed"],
-                 ["simulate", "--mode", "window-routed", "--trials", "64"],
-                 ["fidelity"]):
-        code, out, err = run(capsys, argv + design)
+    for argv in commands:
+        code, out, err = run(capsys, argv + argv_design)
         assert (code, err) == (0, "")
         cells.append(parse_row(out)[7:9])
-    assert cells == [expected] * 3
+    assert cells == [expected] * len(commands)
 
 
 @pytest.mark.parametrize("mode, note", [

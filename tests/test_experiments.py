@@ -2,6 +2,8 @@ import ast
 import itertools
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,8 @@ from repchain import (
     write_csv,
 )
 from repchain.experiments import MAX_SWEEP_POINTS, fidelity_row, rate_row, simulate_row
-from repchain.montecarlo import McConfig, McMode
+from repchain.fidelity import decohere
+from repchain.montecarlo import McConfig, McMode, simulate_routed
 from repchain.params import MAX_SEED, MAX_WORKERS
 
 EXPECTED_HEADER = (
@@ -416,6 +419,42 @@ def test_row_builders_name_a_bad_window(near, build, tau):
     with pytest.raises(ValueError) as info:
         _ROW_BUILDERS[build](near, NetworkDesign(Config.A, 20.0, 1, 2), tau)
     assert str(info.value) == f"tau_s = {tau!r} must be {bound}"
+
+
+# Every entry point that takes a window holds it to one type rule: a numpy scalar
+# counts as the Python scalar it holds, and then an int or a float is a window
+# and a bool, a Fraction, a Decimal or a str is not.
+_WINDOW_ENTRY_POINTS = {
+    **_ROW_BUILDERS,
+    "simulate_routed": lambda profile, design, tau: simulate_routed(
+        profile, design, tau, McConfig(1, 64, McMode.WINDOW_ROUTED)),
+    "decohere": lambda profile, design, tau: decohere(0.9, tau),
+}
+_WINDOW_TYPES = [
+    (True, None), (np.True_, None), (Fraction(1, 10), None), (Decimal("0.1"), None), ("5", None),
+    (np.float32(0.1), 0.10000000149011612), (np.float64(0.1), 0.1), (np.int64(1), 1),
+]
+
+
+@pytest.mark.parametrize("tau, held", _WINDOW_TYPES, ids=[repr(t) for t, _ in _WINDOW_TYPES])
+@pytest.mark.parametrize("entry", _WINDOW_ENTRY_POINTS)
+def test_every_entry_point_holds_a_window_to_one_type_rule(near, entry, tau, held):
+    def call(window):
+        return _WINDOW_ENTRY_POINTS[entry](near, NetworkDesign(Config.A, 20.0, 1, 2), window)
+
+    if held is None:
+        bound = ">= 0" if entry in ("fidelity", "decohere") else "> 0"
+        with pytest.raises(ValueError) as info:
+            call(tau)
+        assert str(info.value) == f"tau_s = {tau!r} must be {bound}"
+        return
+    got, expected = call(tau), call(held)
+    assert got == expected
+    # A float32 window must not leave a float32 rate, nor a numpy window a numpy cell.
+    pairs = list(zip(got, expected)) if isinstance(got, tuple) else [(got, expected)]
+    assert [type(a) for a, _ in pairs] == [type(b) for _, b in pairs]
+    if entry in _ROW_BUILDERS:
+        assert rows_to_csv([got]) == rows_to_csv([expected])
 
 
 def _sweep_row_calls(path):

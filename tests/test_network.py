@@ -1,5 +1,7 @@
 import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -91,6 +93,13 @@ _DESIGN_ERRORS = [
     (dict(big_n=True), "big_n = True must be an integer"),
     (dict(xi=3.0), "xi = 3.0 must be an integer"),
     (dict(xi=False), "xi = False must be an integer"),
+    # Float fields take an int or a float (or a numpy one), never a bool, a Fraction or a Decimal.
+    (dict(ell_km=True), "ell_km = True must be an int or a float"),
+    (dict(ell_km=Fraction(41, 2)), "ell_km = Fraction(41, 2) must be an int or a float"),
+    (dict(ell_km=Decimal("20.5")), "ell_km = Decimal('20.5') must be an int or a float"),
+    (dict(epsilon=True), "epsilon = True must be an int or a float"),
+    (dict(epsilon=Fraction(1, 20)), "epsilon = Fraction(1, 20) must be an int or a float"),
+    (dict(epsilon=Decimal("0.05")), "epsilon = Decimal('0.05') must be an int or a float"),
 ]
 
 
@@ -163,3 +172,5 @@ def test_design_stores_numpy_scalars_as_python_scalars():
         NetworkDesign(Config.A, 20.0, np.int64(0), 1)
     with pytest.raises(DesignError, match="big_n = True must be an integer"):
         NetworkDesign(Config.A, 20.0, 1, np.bool_(True))
+    with pytest.raises(DesignError, match="ell_km = True must be an int or a float"):
+        NetworkDesign(Config.A, np.bool_(True), 1, 2)

@@ -25,7 +25,7 @@ from repchain import (
     timings,
     transfer_efficiency,
 )
-from repchain.rates import RateReport, WindowLaw, scenario_rate, window_law
+from repchain.rates import RateReport, WindowLaw, scenario_rate, window_law, window_success_prob
 
 # Frozen values from an independent scratch oracle run before this module
 # existed. Probabilities, efficiencies, and window durations agree to a few
@@ -66,6 +66,11 @@ RATE_NV_LONG_OVERRIDE = 823.2903837880307
 
 def _design(profile, n=1, big_n=1, **kwargs):
     return NetworkDesign(Config.A, max_link_length(profile), n, big_n, **kwargs)
+
+
+def _p_window(report):
+    """Per-station window success of a windowed report, read from the law it carries."""
+    return window_success_prob(report.law.p_attempt, report.law.attempts(report.tau_s))
 
 
 def test_fiber_transmittance(near):
@@ -114,17 +119,35 @@ def test_segment_rate(near, long_term):
     rep = segment_rate(near, _design(near))
     assert rep.scenario is Scenario.SEGMENT
     assert rep.tau_s is None
-    assert rep.attempts_per_window is None
+    assert rep.law is None
     assert rep.rate_hz == pytest.approx(RATE_SEG_NEAR, rel=1e-12)
-    assert rep.p_segment == segment_success_prob(near, _design(near))
+    assert rep.rate_hz == attempt_rate(near) * segment_success_prob(near, _design(near))
     rep2 = segment_rate(long_term, _design(long_term, n=2))
     assert rep2.rate_hz == pytest.approx(RATE_SEG_LONG, rel=1e-12)
-    assert rep2.p_segment == segment_success_prob(long_term, _design(long_term, n=2))
+    assert rep2.rate_hz == attempt_rate(long_term) * segment_success_prob(
+        long_term, _design(long_term, n=2))
 
 
 def test_rate_report_fields():
-    assert RateReport._fields == (
-        "scenario", "tau_s", "tau_clamped", "p_segment", "rate_hz", "attempts_per_window")
+    assert RateReport._fields == ("scenario", "tau_s", "tau_clamped", "rate_hz", "law")
+
+
+@pytest.mark.parametrize("tau", [None, 2.5e-3], ids=["cutoff", "explicit"])
+@pytest.mark.parametrize("era_fixture,n,big_n", [("near", 1, 3), ("long_term", 2, 3)])
+@pytest.mark.parametrize("scenario", [Scenario.NV_CHAIN, Scenario.ROUTED,
+                                      Scenario.ROUTED_NO_BUFFER])
+def test_report_carries_the_law_its_rate_was_solved_from(request, scenario, era_fixture, n,
+                                                         big_n, tau):
+    profile = request.getfixturevalue(era_fixture)
+    design = _design(profile, n=n, big_n=big_n)
+    report = scenario_rate(scenario, profile, design, tau)
+    law = report.law
+    assert law == window_law(scenario, profile, design)
+    assert report.tau_s == (law.cutoff(design.epsilon)[0] if tau is None else tau)
+    assert report.rate_hz == (
+        window_success_prob(law.p_attempt, law.attempts(report.tau_s)) ** law.stations
+        / report.tau_s)
+    assert scenario_rate(Scenario.SEGMENT, profile, design).law is None
 
 
 @pytest.mark.parametrize("scenario", [Scenario.ROUTED, Scenario.ROUTED_NO_BUFFER,
@@ -228,7 +251,7 @@ def test_routed_window_self_consistency(request, era_fixture, n, big_n):
     profile = request.getfixturevalue(era_fixture)
     rep = routed_rate(profile, _design(profile, n=n, big_n=big_n))
     assert not rep.tau_clamped
-    assert rep.p_segment ** big_n == pytest.approx(0.95, rel=1e-9)
+    assert _p_window(rep) ** big_n == pytest.approx(0.95, rel=1e-9)
 
 
 def test_no_buffer_anchors(near, long_term):
@@ -241,7 +264,7 @@ def test_no_buffer_anchors(near, long_term):
     # long-term window closes before the first usable half-window attempt
     repl = routed_rate_no_buffer(long_term, _design(long_term, n=2))
     assert repl.rate_hz == 0.0
-    assert repl.attempts_per_window == 0.0
+    assert repl.law.attempts(repl.tau_s) == 0.0
 
 
 def test_nv_chain_anchors(near, long_term):
@@ -260,7 +283,7 @@ def test_nv_chain_tau_override(long_term):
     rep = nv_chain_rate(long_term, _design(long_term), tau_s=1.2e-3)
     assert rep.tau_s == 1.2e-3
     assert not rep.tau_clamped
-    assert rep.attempts_per_window == pytest.approx(4.0 / 3.0, rel=1e-12)
+    assert rep.law.attempts(rep.tau_s) == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert rep.rate_hz == pytest.approx(RATE_NV_LONG_OVERRIDE, rel=1e-9)
 
 
@@ -402,7 +425,7 @@ def test_buffer_free_bracket_identity(near):
         d = dataclasses.replace(design, big_n=big_n)
         nb = routed_rate_no_buffer(perfect, d)
         b = routed_rate(perfect, d, tau_s=nb.tau_s / 2.0)
-        assert nb.p_segment == pytest.approx(b.p_segment, rel=1e-12)
+        assert _p_window(nb) == pytest.approx(_p_window(b), rel=1e-12)
         assert nb.rate_hz == pytest.approx(b.rate_hz / 2.0, rel=1e-12)
 
 
