@@ -1,8 +1,9 @@
 """Capacity and fidelity engine for buffered-router repeater chains.
 
 Closed-form pair rates and end-to-end fidelities for frequency-multiplexed
-repeater segments joined by buffered routers, with a seeded Monte Carlo
-simulator that validates every closed form.
+repeater segments joined by buffered routers. A seeded Monte Carlo simulator
+validates every closed-form rate, and a 4x4 density-matrix replay
+(fidelity.compose_oracle) every fidelity.
 
 The package re-exports exactly the names in each module's `__all__`, which
 is the one list of what that module makes public, and binds them on first

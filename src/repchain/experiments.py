@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .network import Config, NetworkDesign, max_link_length
-from .params import ParameterProfile, _check_mc_settings, _python_scalar, _real
+from .params import ParameterProfile, _check_mc_settings, _python_scalar, _window
 from .rates import (
     _NV_CHAIN, Scenario, _scenario_message, _window_rate, attempt_rate, routed_cutoff_time,
     scenario_rate, window_law)
@@ -250,15 +250,13 @@ def fidelity_row(
     from .fidelity import end_to_end_report
 
     _check_era_label(era)
-    tau_clamped = False  # for 0, or a negative or nan tau_s, which end_to_end_report names
+    tau_clamped = False  # for an explicit 0
     if tau_s is None:
         tau_s, tau_clamped = routed_cutoff_time(profile, design)
-    elif _real(tau_s) is None:
-        raise ValueError(f"tau_s = {tau_s!r} must be >= 0")
-    elif tau_s > 0:
+    elif _window(tau_s, zero_ok=True) > 0:
         tau_s, tau_clamped = window_law(Scenario.ROUTED, profile, design).clamp(tau_s)
     report = end_to_end_report(profile, design, tau_s)
-    return _row("fidelity-end-to-end", era, design, Scenario.ROUTED, tau_s=tau_s,
+    return _row("fidelity-end-to-end", era, design, Scenario.ROUTED, tau_s=report.tau_s,
                 tau_clamped=tau_clamped, fidelity=report.fidelity, qber=report.qber)
 
 

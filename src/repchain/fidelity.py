@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .network import _CONFIG_A, _CONFIG_B, Config, NetworkDesign, _config_message
 from .params import (
-    _FIDELITY_FIELDS, DEFAULT_DECOHERENCE_RATE_PER_S, ParameterProfile, _check_fidelity, _real)
+    _FIDELITY_FIELDS, DEFAULT_DECOHERENCE_RATE_PER_S, ParameterProfile, _check_fidelity, _window)
 
 # numpy is imported inside the oracle only, so the closed-form commands,
 # which never call it, start without loading numpy.
@@ -79,10 +79,7 @@ def decohere(
     rate_per_s: float = DEFAULT_DECOHERENCE_RATE_PER_S,
 ) -> float:
     """Werner weight after storing one qubit of the pair for tau_s seconds."""
-    tau = tau_s if type(tau_s) is float else _real(tau_s)
-    if tau is None or not tau >= 0:
-        raise ValueError(f"tau_s = {tau_s!r} must be >= 0")
-    return w * math.exp(-rate_per_s * tau)
+    return w * math.exp(-rate_per_s * _window(tau_s, zero_ok=True))
 
 
 class _StageWeights(NamedTuple):
@@ -129,7 +126,6 @@ def _pair_weights(profile: ParameterProfile, config: Config, n: int) -> tuple[fl
 def _storage_factor(w_c13: float, tau_s: float, rate_per_s: float) -> float:
     # Storage is a discrete event: a pair held for exactly zero time never
     # enters the memory, so the swap-fidelity penalty does not apply either.
-    # Every other tau_s, nan included, is checked by decohere.
     if tau_s == 0.0:
         return 1.0
     return decohere(w_c13, tau_s, rate_per_s) ** 2
@@ -142,6 +138,7 @@ def router_pair_werner(
     tau_s: float,
 ) -> float:
     """Werner weight of a router-router pair after storage for tau_s."""
+    tau_s = _window(tau_s, zero_ok=True)
     _, w_segment, w_transfer = _pair_weights(profile, config, n)
     return w_segment * w_transfer ** 2 * _storage_factor(
         profile._werner_weights.c13, tau_s, profile.decoherence_rate_per_s
@@ -159,6 +156,7 @@ def end_to_end_report(
     whole window tau_s, where a segment that heralds before the window ends
     waits only for the rest of it.
     """
+    tau_s = _window(tau_s, zero_ok=True)
     w_link, w_segment, w_transfer = _pair_weights(profile, design.config, design.n)
     weights = profile._werner_weights
     w_pair = w_segment * w_transfer ** 2

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .network import NetworkDesign
-from .params import ParameterProfile, _check_mc_settings, _real
+from .params import ParameterProfile, _check_mc_settings, _window
 from .rates import (
     Scenario,
     WindowLaw,
@@ -252,9 +252,7 @@ def _window_outcome(law: WindowLaw, tau_s: float) -> tuple[float, int, bool | No
     k = 0 or p_attempt 0. True: p_attempt 1, or k * p_attempt >= 745, so a station fails
     with probability under e^-745 (0.0 in double).
     """
-    tau = tau_s if type(tau_s) is float else _real(tau_s)
-    if tau is None or not tau > 0:
-        raise ValueError(f"tau_s = {tau_s!r} must be > 0")
+    tau = _window(tau_s)
     usable_s = law.usable_s(tau)
     if usable_s <= 0.0:
         return tau, 0, False

@@ -193,6 +193,14 @@ def _real(value):
     return None if isinstance(value, bool) or not isinstance(value, (int, float)) else value
 
 
+def _window(tau_s, zero_ok: bool = False):
+    """A window held to _real's type rule and to > 0, or >= 0 if zero_ok: its Python scalar."""
+    tau = tau_s if type(tau_s) is float else _real(tau_s)
+    if tau is None or not (tau >= 0 if zero_ok else tau > 0):
+        raise ValueError(f"tau_s = {tau_s!r} must be {'>=' if zero_ok else '>'} 0")
+    return tau
+
+
 # Monte Carlo settings are checked here, so McOptions defaults need no montecarlo import.
 MAX_SEED = 2**64 - 1
 # Never below the host's CPU count, so workers = nproc is always accepted.
@@ -223,7 +231,11 @@ def validate_profile(profile: ParameterProfile) -> ParameterProfile:
     """Check every field range; raise ParameterValidationError naming the field."""
     for name in _FIELD_NAMES:
         value = getattr(profile, name)
-        if name not in _COUNT_FIELDS and not math.isfinite(value):
+        if name in _COUNT_FIELDS:
+            continue
+        if type(value) is not float and _real(value) is None:
+            raise ParameterValidationError(f"{name} = {value!r} must be an int or a float")
+        if not math.isfinite(value):
             raise ParameterValidationError(f"{name} = {value!r} must be finite")
     for name in _EFFICIENCY_FIELDS:
         value = getattr(profile, name)
@@ -311,5 +323,5 @@ def serialize_profile(profile: ParameterProfile) -> str:
     """Render a profile as file text; load_profile inverts it exactly."""
     lines = ["base = near"]
     for name in _FIELD_NAMES:
-        lines.append(f"{name} = {getattr(profile, name)!r}")
+        lines.append(f"{name} = {_python_scalar(getattr(profile, name))!r}")
     return "\n".join(lines) + "\n"

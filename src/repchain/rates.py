@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .network import (
     _CONFIG_A, _CONFIG_B, SIGNAL_VELOCITY_KM_PER_S, Config, NetworkDesign, _config_message, timings)
-from .params import ParameterProfile, _real
+from .params import ParameterProfile, _real, _window
 
 __all__ = [
     "RateReport",
@@ -188,10 +188,7 @@ class WindowLaw(NamedTuple):
 
     def clamp(self, tau_s: float) -> tuple[float, bool]:
         """The one window rule: above t_max, (t_max, True); any other window, (tau_s, False)."""
-        # Every cutoff ends here with a float, which skips params._real's type rule.
-        tau = tau_s if type(tau_s) is float else _real(tau_s)
-        if tau is None or not tau > 0:
-            raise ValueError(f"tau_s = {tau_s!r} must be > 0")
+        tau = _window(tau_s)
         if math.isnan(self.t_max):
             raise ValueError("t_max = nan must be a number")
         return (self.t_max, True) if tau > self.t_max else (tau, False)
@@ -203,7 +200,8 @@ class WindowLaw(NamedTuple):
         success needs no search time; impossible success, or no attempts at
         all, saturates the storage budget.
         """
-        if not (hasattr(epsilon, "__float__") and 0.0 < epsilon < 1.0):
+        eps = _real(epsilon)
+        if eps is None or not 0.0 < eps < 1.0:
             raise ValueError(f"epsilon = {epsilon!r} must lie in (0, 1)")
         if not self.stations >= 1:
             raise ValueError(f"stations = {self.stations!r} must be >= 1")
@@ -216,7 +214,7 @@ class WindowLaw(NamedTuple):
             return self.t_max, True
         if self.p_attempt >= 1.0:
             return self.floor_s, False
-        per_station_failure = 1.0 - (1.0 - epsilon) ** (1.0 / self.stations)
+        per_station_failure = 1.0 - (1.0 - eps) ** (1.0 / self.stations)
         if per_station_failure <= 0.0:
             # epsilon too small to show in one station's share: no finite window meets it.
             return self.t_max, True

@@ -28,7 +28,7 @@ from repchain import (
     write_csv,
 )
 from repchain.experiments import MAX_SWEEP_POINTS, fidelity_row, rate_row, simulate_row
-from repchain.fidelity import decohere
+from repchain.fidelity import decohere, end_to_end_report, router_pair_werner
 from repchain.montecarlo import McConfig, McMode, simulate_routed
 from repchain.params import MAX_SEED, MAX_WORKERS
 
@@ -429,10 +429,15 @@ _WINDOW_ENTRY_POINTS = {
     "simulate_routed": lambda profile, design, tau: simulate_routed(
         profile, design, tau, McConfig(1, 64, McMode.WINDOW_ROUTED)),
     "decohere": lambda profile, design, tau: decohere(0.9, tau),
+    "end_to_end_report": lambda profile, design, tau: end_to_end_report(profile, design, tau),
+    "router_pair_werner": lambda profile, design, tau: router_pair_werner(
+        profile, design.config, design.n, tau),
 }
 _WINDOW_TYPES = [
     (True, None), (np.True_, None), (Fraction(1, 10), None), (Decimal("0.1"), None), ("5", None),
+    (False, None), (np.False_, None), (Fraction(0), None), (Decimal("0"), None),
     (np.float32(0.1), 0.10000000149011612), (np.float64(0.1), 0.1), (np.int64(1), 1),
+    (np.float64(0.0), 0.0), (np.int64(0), 0),
 ]
 
 
@@ -442,8 +447,9 @@ def test_every_entry_point_holds_a_window_to_one_type_rule(near, entry, tau, hel
     def call(window):
         return _WINDOW_ENTRY_POINTS[entry](near, NetworkDesign(Config.A, 20.0, 1, 2), window)
 
-    if held is None:
-        bound = ">= 0" if entry in ("fidelity", "decohere") else "> 0"
+    # The Werner pipeline takes 0, storing for no time; the rates need a window > 0.
+    bound = "> 0" if entry in ("rate", "simulate", "simulate_routed") else ">= 0"
+    if held is None or (held == 0 and bound == "> 0"):
         with pytest.raises(ValueError) as info:
             call(tau)
         assert str(info.value) == f"tau_s = {tau!r} must be {bound}"
@@ -463,6 +469,14 @@ def _sweep_row_calls(path):
         and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "SweepRow"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
     )
+
+
+def test_the_window_type_rule_is_spelled_in_params_only():
+    # Every entry point that takes a window calls params._window; none repeats its fast path.
+    package = Path(repchain.__file__).parent
+    spelled = [path.name for path in sorted(package.glob("*.py"))
+               if "type(tau_s) is float" in path.read_text(encoding="utf-8")]
+    assert spelled == ["params.py"]
 
 
 def test_one_row_builder_constructs_every_sweep_row():

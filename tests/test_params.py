@@ -1,7 +1,10 @@
 import dataclasses
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -123,6 +126,33 @@ def test_validate_rejects_fractional_count(near, field, value):
     with pytest.raises(ParameterValidationError,
                        match=re.escape(f"{field} = {value!r} must be a nonnegative integer")):
         validate_profile(bad)
+
+
+_NOT_A_NUMBER = [True, False, np.True_, Decimal("0.4"), Fraction(2, 5), "0.4", None, 0.4j]
+
+
+@pytest.mark.parametrize("value", _NOT_A_NUMBER, ids=[repr(v) for v in _NOT_A_NUMBER])
+@pytest.mark.parametrize("field", ["eta_afc", "t_nv", "f_rout", "decoherence_rate_per_s"])
+def test_validate_names_a_float_field_that_is_not_an_int_or_a_float(near, field, value):
+    # The window type rule: a bool, a Decimal, a Fraction or a str is no field value,
+    # so serialize_profile never writes a value that load_profile cannot read back.
+    bad = dataclasses.replace(near, **{field: value})
+    with pytest.raises(ParameterValidationError) as info:
+        validate_profile(bad)
+    assert str(info.value) == f"{field} = {value!r} must be an int or a float"
+
+
+@pytest.mark.parametrize("scalar", [np.float64, np.float32])
+def test_serialize_writes_the_python_scalar_a_numpy_field_holds(tmp_path, near, scalar):
+    profile = validate_profile(dataclasses.replace(near, eta_afc=scalar(0.4), t_nv=scalar(2.5)))
+    held = dataclasses.replace(near, eta_afc=scalar(0.4).item(), t_nv=2.5)
+    text = serialize_profile(profile)
+    assert text == serialize_profile(held)
+    path = tmp_path / "numpy.profile"
+    path.write_text(text, encoding="utf-8")
+    loaded = load_profile(path)
+    assert loaded == held == profile
+    assert type(loaded.eta_afc) is float and type(loaded.t_nv) is float
 
 
 def test_validate_accepts_boundary_values(near):

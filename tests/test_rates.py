@@ -1,7 +1,10 @@
 import dataclasses
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repchain import (
@@ -346,14 +349,25 @@ def test_no_attempts_saturate_storage(p_attempt):
 
 @pytest.mark.parametrize("stations", [1, 2])
 @pytest.mark.parametrize("omega", [1e3, 0.0], ids=["drawing", "no-attempts"])
-@pytest.mark.parametrize("epsilon", [1.5, 1.0, 0.0, -0.1, math.nan, None, "0.05"])
+@pytest.mark.parametrize("epsilon", [1.5, 1.0, 0.0, -0.1, math.nan, None, "0.05",
+                                     Decimal("0.05"), Fraction(1, 20)])
 def test_cutoff_rejects_an_epsilon_outside_the_unit_interval(stations, omega, epsilon):
     # Checked before a degenerate law resolves, so a law with no attempts names
-    # a bad epsilon too, and nan names epsilon rather than the window.
+    # a bad epsilon too, and nan names epsilon rather than the window. Epsilon is
+    # held to the window type rule, so a Decimal or a Fraction is named as well.
     law = WindowLaw(omega=omega, p_attempt=0.01, stations=stations, usable_fraction=1.0,
                     floor_s=1e-3, t_max=1.0)
     with pytest.raises(ValueError, match=re.escape(f"epsilon = {epsilon!r} must lie in (0, 1)")):
         law.cutoff(epsilon)
+
+
+@pytest.mark.parametrize("stations", [1, 2])
+def test_cutoff_takes_a_numpy_epsilon_as_the_float_it_holds(stations):
+    law = WindowLaw(omega=1e3, p_attempt=0.01, stations=stations, usable_fraction=1.0,
+                    floor_s=1e-3, t_max=1.0)
+    tau, clamped = law.cutoff(np.float64(0.05))
+    assert (tau, clamped) == law.cutoff(0.05)
+    assert type(tau) is float and not clamped
 
 
 @pytest.mark.parametrize("stations", [1, 2])
