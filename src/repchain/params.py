@@ -233,8 +233,15 @@ def validate_profile(profile: ParameterProfile) -> ParameterProfile:
         value = getattr(profile, name)
         if name in _COUNT_FIELDS:
             continue
-        if type(value) is not float and _real(value) is None:
-            raise ParameterValidationError(f"{name} = {value!r} must be an int or a float")
+        if type(value) is not float:
+            real = _real(value)
+            if real is None:
+                raise ParameterValidationError(f"{name} = {value!r} must be an int or a float")
+            # load_profile reads back as a float the int that serialize_profile writes
+            # (int and float compare exactly, so only an int a float holds comes back equal).
+            if isinstance(real, int) and (abs(real) > sys.float_info.max or float(real) != real):
+                raise ParameterValidationError(
+                    f"{name} = {value!r} must be a value a float holds exactly")
         if not math.isfinite(value):
             raise ParameterValidationError(f"{name} = {value!r} must be finite")
     for name in _EFFICIENCY_FIELDS:

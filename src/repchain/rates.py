@@ -104,7 +104,7 @@ def link_success_prob(profile: ParameterProfile, ell_km: float) -> float:
     """
     if not ell_km >= 0:
         raise ValueError(f"ell_km = {ell_km!r} must be >= 0")
-    p_any = 1.0 - (1.0 - link_mode_prob(profile, ell_km)) ** profile.gamma_f
+    p_any = window_success_prob(link_mode_prob(profile, ell_km), profile.gamma_f)
     return _clip01(p_any * (profile.eta_afc * profile.eta_shift) ** 2)
 
 
@@ -112,7 +112,7 @@ def nv_link_success_prob(profile: ParameterProfile, ell_km: float) -> float:
     """Per-attempt success probability of one spin-photon elementary link."""
     if not ell_km >= 0:
         raise ValueError(f"ell_km = {ell_km!r} must be >= 0")
-    return _clip01(1.0 - (1.0 - nv_mode_prob(profile, ell_km)) ** profile.gamma_t)
+    return window_success_prob(nv_mode_prob(profile, ell_km), profile.gamma_t)
 
 
 def transfer_efficiency(
@@ -214,12 +214,11 @@ class WindowLaw(NamedTuple):
             return self.t_max, True
         if self.p_attempt >= 1.0:
             return self.floor_s, False
-        per_station_failure = 1.0 - (1.0 - eps) ** (1.0 / self.stations)
-        if per_station_failure <= 0.0:
-            # epsilon too small to show in one station's share: no finite window meets it.
-            return self.t_max, True
+        share = -math.expm1(math.log1p(-eps) / self.stations)  # each station's budget, exactly
+        # Below 1e-300 the share may be subnormal, short of digits; it is eps / stations there.
+        log_share = math.log(share) if share > 1e-300 else math.log(eps) - math.log(self.stations)
         return self.clamp(
-            1.0 / self.usable_fraction / self.omega * math.log(per_station_failure)
+            1.0 / self.usable_fraction / self.omega * log_share
             / math.log1p(-self.p_attempt) + self.floor_s
         )
 
@@ -233,7 +232,8 @@ class WindowLaw(NamedTuple):
 
 
 def window_success_prob(p_attempt: float, attempts: float) -> float:
-    """Probability that a station succeeds at least once in `attempts` tries."""
+    """Probability of at least one success in `attempts` independent tries:
+    a station's window, or a link's modes."""
     if attempts <= 0.0 or p_attempt <= 0.0:
         return 0.0
     if p_attempt >= 1.0:

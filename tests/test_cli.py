@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,20 @@ def test_rate_routed_long(capsys):
     assert fields[8] == "false"
     assert float(fields[9]) == pytest.approx(1181.120176323731, rel=1e-9)
     assert fields[10] == "" and fields[11] == ""
+
+
+# The windows of `rate --scenario routed --profile long --n 2 --big-n 3` at two failure
+# budgets too small for 1 - (1 - epsilon) ** (1 / N) to hold in a float, from a
+# 50-digit decimal reference of the cutoff.
+@pytest.mark.parametrize("epsilon, window", [("1e-16", "0.00085472661704469125340"),
+                                             ("5e-324", "0.00187540427684639091791")])
+def test_rate_routed_long_tiny_epsilon_gets_its_exact_window(capsys, epsilon, window):
+    code, out, err = run(capsys, ["rate", "--scenario", "routed", "--profile", "long",
+                                  "--n", "2", "--big-n", "3", "--epsilon", epsilon])
+    assert (code, err) == (0, "")
+    fields = parse_row(out)
+    assert fields[8] == "false"
+    assert abs(Decimal(fields[7]) - Decimal(window)) < Decimal("1e-15") * Decimal(window)
 
 
 def test_rate_routed_nobuffer_scenario(capsys):
@@ -547,11 +562,11 @@ def test_reproduce_fidelity_near(capsys, tmp_path):
 # sha256 of `reproduce --study S --era both` without Monte Carlo. A change that
 # moves any byte of these CSVs must say so; re-record only for an intended change.
 _GOLDEN_CSV_SHA256 = {
-    "rate-vs-links": "c7684a417afd11fb7332632ff7bfbfeea44d96e9a69ad62b34374219ecc744da",
-    "rate-vs-routers": "0c3bfe5227de8fecdf2caf0bb650f0e8d312951278bde9433af12201549b1444",
-    "config-compare": "6ccd8a1dd5318887002bbaa6eb20fc320f406e00459f097aabf9773497e1be80",
-    "cutoff-window": "8f50b2f030c7d3600aaa87ba3c279b556752438a4bfcd164de6fea19ca947979",
-    "fidelity": "845dd0e92399646cb6c8cd14fef92196f684c6f73b4426c0514d9270af7ac7c6",
+    "rate-vs-links": "a48c1cef98ca3ec0314a91c317b517ac7ce35bc6352c6a51a51a89ede88c1d36",
+    "rate-vs-routers": "e0f107f821d76cf2020e5d4bb1dc60e0bf9106d43ee670d6369ba1a3ca56efc0",
+    "config-compare": "7ab9f028b76e8de579f76e77374ed12d6057cfd9d89363aaf7487d9e819b5346",
+    "cutoff-window": "0cee0f35c3d8803aca9d2d41e221c3ffefdc81d47b3cc332d4ba411083637813",
+    "fidelity": "ef9adc1a98fa8d245f4e7a7db12501e9cb05a258fda6b6165067c9c696202967",
 }
 
 
@@ -569,10 +584,10 @@ def test_reproduce_csv_bytes_are_golden(capsys, tmp_path, study):
 # deliberate stream re-key updates these hashes and names its new salt in
 # CHANGES.md.
 _GOLDEN_MC_CSV_SHA256 = {
-    "rate-vs-links": "aaab4b1cb685d8dcd7b8b38b657caaf5184488d446ebb3486ace85076ccce034",
-    "rate-vs-routers": "51eb82c53fcce481791db9546d3372eb8ce62c18c0cfb4e474237734e7fe434b",
-    "config-compare": "94b1bbe2ce78f23dabc1582add3098b59f932d4ec1808de752f905f50b87e7bb",
-    "cutoff-window": "e1f417698b6c1b3889097430268c46cee3676c15d73d75e57ca7d8ed871c9740",
+    "rate-vs-links": "80c5050d8fbfaee4dd6e0d40b59ad12b25f23827e00bb0f679a41660a216991e",
+    "rate-vs-routers": "24efd7b8f386e4fc41b2b3f95d47299a3498457511ae5bab6a5b8f7c786fc336",
+    "config-compare": "1e8da52d8f46b8e929b23eabdd699d432efb0a2d8dbe653b8c4925fffb628460",
+    "cutoff-window": "dcdb67b81cd4db7e9a8df1ffdc3c845b8a1efca0b189e7a2403947b54ca8546d",
     # The fidelity study draws nothing: its MC bytes are its closed-form bytes.
     "fidelity": _GOLDEN_CSV_SHA256["fidelity"],
 }
@@ -912,7 +927,7 @@ def test_window_that_draws_nothing_loads_no_numpy(tmp_path):
                           "--workers", "2", "--out", str(out)]])
     assert result == {"codes": [0], "loaded": []}
     assert out.read_text(encoding="utf-8") == (
-        HEADER + "\nwindow-nv,near,,1,,20.0,20.0,0.00159175899479592,false,0.0,,,0.0,0.0,0\n"
+        HEADER + "\nwindow-nv,near,,1,,20.0,20.0,0.0015917589947959205,false,0.0,,,0.0,0.0,0\n"
     )
 
 

@@ -479,6 +479,15 @@ def test_the_window_type_rule_is_spelled_in_params_only():
     assert spelled == ["params.py"]
 
 
+def test_at_least_one_success_is_spelled_in_its_exact_form_only():
+    # 1 - (1 - p) ** m cancels for small p: every law of that shape goes through
+    # rates.window_success_prob, and the cutoff inverts it with log1p and expm1.
+    package = Path(repchain.__file__).parent
+    direct = [path.name for path in sorted(package.glob("*.py"))
+              if re.search(r"1(\.0)? - \(1(\.0)? -", path.read_text(encoding="utf-8"))]
+    assert direct == []
+
+
 def test_one_row_builder_constructs_every_sweep_row():
     # The column rules live in one builder in experiments.py; no other module builds rows.
     package = Path(repchain.__file__).parent

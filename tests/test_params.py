@@ -142,6 +142,31 @@ def test_validate_names_a_float_field_that_is_not_an_int_or_a_float(near, field,
     assert str(info.value) == f"{field} = {value!r} must be an int or a float"
 
 
+_NOT_A_FLOAT = [10**20 + 1, 10**400, -(10**400), 2**1024 - 1, np.int64(2**53 + 1)]
+
+
+@pytest.mark.parametrize("value", _NOT_A_FLOAT, ids=["1e20+1", "1e400", "-1e400", "2^1024-1",
+                                                     "int64-2^53+1"])
+@pytest.mark.parametrize("field", ["r_epps", "eta_afc", "t_nv", "decoherence_rate_per_s"])
+def test_validate_names_a_float_field_that_a_float_does_not_hold(near, field, value):
+    # serialize_profile writes an int field value as it is, and load_profile reads a
+    # float back: an int a float does not hold would come back as another profile,
+    # and one past float's range would raise a bare OverflowError.
+    bad = dataclasses.replace(near, **{field: value})
+    with pytest.raises(ParameterValidationError) as info:
+        validate_profile(bad)
+    assert str(info.value) == f"{field} = {value!r} must be a value a float holds exactly"
+
+
+@pytest.mark.parametrize("value", [10**8, 2**53, 2**1024 - 2**971, np.int64(10**8)],
+                         ids=["1e8", "2^53", "float-max", "int64-1e8"])
+def test_an_int_float_field_that_a_float_holds_round_trips(tmp_path, near, value):
+    profile = validate_profile(dataclasses.replace(near, r_epps=value))
+    path = tmp_path / "int.profile"
+    path.write_text(serialize_profile(profile), encoding="utf-8")
+    assert load_profile(path) == profile
+
+
 @pytest.mark.parametrize("scalar", [np.float64, np.float32])
 def test_serialize_writes_the_python_scalar_a_numpy_field_holds(tmp_path, near, scalar):
     profile = validate_profile(dataclasses.replace(near, eta_afc=scalar(0.4), t_nv=scalar(2.5)))

@@ -1,7 +1,8 @@
 import dataclasses
+import functools
 import math
 import re
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,9 @@ from repchain import (
     timings,
     transfer_efficiency,
 )
-from repchain.rates import RateReport, WindowLaw, scenario_rate, window_law, window_success_prob
+from repchain.rates import (
+    RateReport, WindowLaw, link_mode_prob, nv_mode_prob, scenario_rate, window_law,
+    window_success_prob)
 
 # Frozen values from an independent scratch oracle run before this module
 # existed. Probabilities, efficiencies, and window durations agree to a few
@@ -323,10 +326,107 @@ def test_cutoff_epsilon_limit(near, long_term):
         assert not clamped
 
 
-def test_cutoff_subnormal_epsilon_saturates_storage(long_term):
-    # 1 - (1 - epsilon) ** (1 / N) rounds to 0: no finite window meets the budget.
+# An independent reference for the law "at least one success in m tries" and its
+# inverse, the cutoff window, in decimal: 50 significant digits, widened by the
+# exponent of the smallest probability so that 1 - x keeps every digit of x.
+_REFERENCE_EPSILONS = [0.05, 1e-6, 1e-10, 1e-13, 1e-16, 5e-324]
+_REFERENCE_ELLS_KM = [10.0, 50.0, 100.0, 200.0, 400.0]
+_REFERENCE_ERAS = ["near", "long_term", "ideal"]
+
+
+def _digits(*probabilities):
+    return 50 - min(0, *(Decimal(x).adjusted() for x in probabilities))
+
+
+def _reference_at_least_one(p, m):
+    """1 - (1 - p) ** m."""
+    with localcontext() as ctx:
+        ctx.prec = _digits(p)
+        return 1 - (1 - Decimal(p)) ** Decimal(m)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_log_share(epsilon, stations):
+    """log(1 - (1 - epsilon) ** (1 / stations)): the log of each station's failure budget."""
+    with localcontext() as ctx:
+        ctx.prec = _digits(epsilon)
+        return (1 - (1 - Decimal(epsilon)) ** (1 / Decimal(stations))).ln()
+
+
+def _reference_cutoff(law, epsilon):
+    """The window in which each of the law's stations fails with its share of epsilon."""
+    if law.p_attempt >= 1.0:
+        return law.floor_s, False
+    if law.p_attempt <= 0.0:
+        return law.t_max, True
+    with localcontext() as ctx:
+        ctx.prec = _digits(law.p_attempt)
+        attempt_s = (_reference_log_share(epsilon, law.stations)
+                     / (1 - Decimal(law.p_attempt)).ln() / Decimal(law.omega))
+        tau = Decimal(law.floor_s) + attempt_s / Decimal(law.usable_fraction)
+    return (law.t_max, True) if tau > law.t_max else (tau, False)
+
+
+def _rel_error(got, reference):
+    return float(abs(Decimal(got) - Decimal(reference)) / Decimal(reference))
+
+
+@pytest.mark.parametrize("era_fixture", _REFERENCE_ERAS)
+def test_link_laws_match_a_50_digit_reference(request, era_fixture):
+    profile = request.getfixturevalue(era_fixture)
+    retrieve = (Decimal(profile.eta_afc) * Decimal(profile.eta_shift)) ** 2
+    errors = []
+    for ell in _REFERENCE_ELLS_KM:
+        p_mode, p_nv_mode = link_mode_prob(profile, ell), nv_mode_prob(profile, ell)
+        link = _reference_at_least_one(p_mode, profile.gamma_f)
+        for law, got, reference in [
+            ("link", link_success_prob(profile, ell), link * retrieve),
+            ("modes", window_success_prob(p_mode, profile.gamma_f), link),
+            ("nv-link", nv_link_success_prob(profile, ell),
+             _reference_at_least_one(p_nv_mode, profile.gamma_t)),
+        ]:
+            errors.append((_rel_error(got, reference), law, ell))
+    assert [error for error in errors if error[0] >= 1e-15] == []
+
+
+@pytest.mark.parametrize("epsilon", _REFERENCE_EPSILONS, ids=repr)
+@pytest.mark.parametrize("era_fixture", _REFERENCE_ERAS)
+def test_cutoff_and_window_law_match_a_50_digit_reference(request, era_fixture, epsilon):
+    # Every windowed scenario, l <= 400 km and N = 1..10: the cutoff window and its
+    # clamp flag, and each station's success probability in that window.
+    profile = request.getfixturevalue(era_fixture)
+    errors = []
+    for ell in _REFERENCE_ELLS_KM:
+        for stations in range(1, 11):
+            for scenario, design in [
+                (Scenario.ROUTED, NetworkDesign(Config.A, ell, 2, stations)),
+                (Scenario.ROUTED_NO_BUFFER, NetworkDesign(Config.A, ell, 2, stations)),
+                (Scenario.NV_CHAIN, NetworkDesign(Config.A, ell, stations, 1)),
+            ]:
+                law = window_law(scenario, profile, design)
+                tau, clamped = law.cutoff(epsilon)
+                reference_tau, reference_clamped = _reference_cutoff(law, epsilon)
+                where = (scenario.value, ell, stations)
+                errors.append((_rel_error(tau, reference_tau), "tau", *where))
+                if clamped is not reference_clamped:
+                    errors.append((math.inf, f"clamped {clamped}", *where))
+                attempts = law.attempts(tau)
+                if 0.0 < law.p_attempt < 1.0 and attempts > 0.0:
+                    got = window_success_prob(law.p_attempt, attempts)
+                    reference = _reference_at_least_one(law.p_attempt, attempts)
+                    errors.append((_rel_error(got, reference), "window", *where))
+    assert [error for error in errors if error[0] >= 1e-15] == []
+
+
+def test_cutoff_subnormal_epsilon_gets_its_finite_window(long_term):
+    # Each station's share, about 2.5e-324, is below the least subnormal; the window is
+    # still finite, and far inside the storage time.
     design = _design(long_term, n=2, big_n=2, epsilon=5e-324)
-    assert routed_cutoff_time(long_term, design) == (long_term.t_nv, True)
+    law = window_law(Scenario.ROUTED, long_term, design)
+    tau, clamped = routed_cutoff_time(long_term, design)
+    assert not clamped
+    assert _rel_error(tau, _reference_cutoff(law, 5e-324)[0]) < 1e-15
+    assert tau < long_term.t_nv / 1000
 
 
 def test_impossible_segment_saturates_storage(near):
